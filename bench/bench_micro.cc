@@ -11,11 +11,8 @@
 //    timing and writes a schema-v1 BENCH_PERF.json through the artifact
 //    writer (steps/sec, ns/step, ns/DPOR-node). `--gate-ref R` exits
 //    nonzero when the reference config (counters-only signaling steps,
-//    n = 64) measures below R steps/sec — the CI perf-smoke gate.
-//    `--gate-speedup S` additionally requires the compiled (bytecode)
-//    engine to clear S x the coroutine engine's steps/sec on that same
-//    reference config. See EXPERIMENTS.md ("BENCH_PERF.json") and README
-//    ("Perf suite").
+//    n = 64) measures below R steps/sec — the CI perf-smoke gate. See
+//    EXPERIMENTS.md ("BENCH_PERF.json") and README ("Perf suite").
 #include <benchmark/benchmark.h>
 
 #include <chrono>
@@ -34,7 +31,6 @@
 #include "memory/shared_memory.h"
 #include "sched/schedulers.h"
 #include "signaling/cc_flag.h"
-#include "signaling/compile.h"
 #include "signaling/dsm_registration.h"
 #include "signaling/workload.h"
 #include "verify/dpor.h"
@@ -68,31 +64,14 @@ void BM_CcApplyOps(benchmark::State& state) {
 }
 BENCHMARK(BM_CcApplyOps);
 
-SignalingRun run_steps_workload(
-    int n, HistoryMode mode, StepEngine engine = StepEngine::kCoroutine,
-    std::shared_ptr<const BytecodeSet> precompiled = nullptr) {
+SignalingRun run_steps_workload(int n, HistoryMode mode) {
   SignalingWorkloadOptions opt;
   opt.n_waiters = n;
   opt.signaler_idle_polls = 8;
   opt.history_mode = mode;
-  opt.engine = engine;
-  opt.precompiled = std::move(precompiled);
   return run_signaling_workload(
       make_dsm(n + 1),
       [](SharedMemory& m) { return std::make_unique<CcFlagSignal>(m); }, opt);
-}
-
-/// Compiles the steps-workload program set once, for reuse across repeated
-/// runs: compilation is shape-deterministic (see SignalingWorkloadOptions::
-/// precompiled), and recompiling n+1 programs per run would otherwise
-/// dominate short runs and hide the step-loop cost the suite measures.
-std::shared_ptr<const BytecodeSet> compile_steps_programs(int n) {
-  SignalingWorkloadOptions opt;  // defaults mirrored by run_steps_workload
-  auto mem = make_dsm(n + 1);
-  CcFlagSignal alg(*mem);
-  return compile_signaling_programs(alg, n + 1, opt.blocking,
-                                    opt.max_polls_per_waiter,
-                                    /*idle_polls=*/8);
 }
 
 void BM_CoroutineSteps(benchmark::State& state) {
@@ -117,21 +96,6 @@ void BM_CoroutineStepsCountersOnly(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(steps));
 }
 BENCHMARK(BM_CoroutineStepsCountersOnly)->Arg(8)->Arg(64);
-
-void BM_CompiledStepsCountersOnly(benchmark::State& state) {
-  // Same workload on the bytecode engine's counters-only fast path,
-  // compile-once/run-many (the engine's intended usage shape).
-  const int n = static_cast<int>(state.range(0));
-  const auto programs = compile_steps_programs(n);
-  std::uint64_t steps = 0;
-  for (auto _ : state) {
-    auto run = run_steps_workload(n, HistoryMode::kCountersOnly,
-                                  StepEngine::kCompiled, programs);
-    steps += run.sim->history().size();
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(steps));
-}
-BENCHMARK(BM_CompiledStepsCountersOnly)->Arg(8)->Arg(64);
 
 void BM_AdversaryStrict(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
@@ -174,13 +138,9 @@ std::pair<std::uint64_t, double> run_timed(double min_seconds, Body&& body) {
 }
 
 MetricsRegistry time_steps_config(int n, HistoryMode mode,
-                                  double min_seconds,
-                                  StepEngine engine = StepEngine::kCoroutine) {
-  const auto programs = engine == StepEngine::kCompiled
-                            ? compile_steps_programs(n)
-                            : nullptr;
+                                  double min_seconds) {
   const auto [steps, seconds] = run_timed(min_seconds, [&] {
-    return run_steps_workload(n, mode, engine, programs).sim->history().size();
+    return run_steps_workload(n, mode).sim->history().size();
   });
   MetricsRegistry reg;
   reg.set("steps_per_sec", static_cast<double>(steps) / seconds);
@@ -268,16 +228,14 @@ MetricsRegistry time_apply_config(bool cc, double min_seconds) {
 }
 
 int run_perf_suite(const std::string& out_dir, double min_seconds,
-                   double gate_ref_steps_per_sec,
-                   double gate_compiled_speedup) {
+                   double gate_ref_steps_per_sec) {
   // The pinned grid. Axes are reused from the sweep schema: `algorithm`
   // names the config, `n` its size, `model` the memory model it exercises.
   SweepSpec spec;
   spec.name = "PERF";
   spec.models = {"dsm"};
-  spec.algorithms = {"steps_full", "steps_counters", "steps_compiled",
-                     "dpor_registration", "apply_dsm", "apply_cc",
-                     "trace_replay"};
+  spec.algorithms = {"steps_full", "steps_counters", "dpor_registration",
+                     "apply_dsm", "apply_cc", "trace_replay"};
   spec.ns = {8, 64};
 
   SweepResult result;
@@ -294,9 +252,6 @@ int run_perf_suite(const std::string& out_dir, double min_seconds,
     } else if (alg == "steps_counters") {
       pr.metrics = time_steps_config(pr.point.n, HistoryMode::kCountersOnly,
                                      min_seconds);
-    } else if (alg == "steps_compiled") {
-      pr.metrics = time_steps_config(pr.point.n, HistoryMode::kCountersOnly,
-                                     min_seconds, StepEngine::kCompiled);
     } else if (alg == "dpor_registration" && pr.point.n == 8) {
       // One pinned size: 2 waiters x 1 poll (the cli_explore_signal shape);
       // the depth-24 tree is what DPOR reduction leaves of it.
@@ -323,15 +278,10 @@ int run_perf_suite(const std::string& out_dir, double min_seconds,
   const std::string path = write_artifact(artifact, out_dir);
 
   double ref = 0;
-  double compiled_ref = 0;
   for (const SweepPointResult& pr : result.points) {
     if (pr.point.algorithm == kReferenceAlgorithm &&
         pr.point.n == kReferenceWaiters) {
       ref = pr.metrics.value("steps_per_sec");
-    }
-    if (pr.point.algorithm == "steps_compiled" &&
-        pr.point.n == kReferenceWaiters) {
-      compiled_ref = pr.metrics.value("steps_per_sec");
     }
     for (const char* m :
          {"steps_per_sec", "ns_per_step", "nodes_per_sec", "ns_per_dpor_node",
@@ -347,22 +297,11 @@ int run_perf_suite(const std::string& out_dir, double min_seconds,
   std::printf("perf suite written: %s\n", path.c_str());
   std::printf("reference config (%s, n=%d): %.0f steps/sec\n",
               kReferenceAlgorithm, kReferenceWaiters, ref);
-  const double speedup = ref > 0 ? compiled_ref / ref : 0;
-  std::printf("compiled engine (steps_compiled, n=%d): %.0f steps/sec "
-              "(%.1fx the coroutine engine)\n",
-              kReferenceWaiters, compiled_ref, speedup);
   if (gate_ref_steps_per_sec > 0 && ref < gate_ref_steps_per_sec) {
     std::fprintf(stderr,
                  "PERF GATE FAILED: reference %.0f steps/sec < required "
                  "%.0f\n",
                  ref, gate_ref_steps_per_sec);
-    return 1;
-  }
-  if (gate_compiled_speedup > 0 && speedup < gate_compiled_speedup) {
-    std::fprintf(stderr,
-                 "PERF GATE FAILED: compiled engine %.1fx the coroutine "
-                 "engine < required %.1fx\n",
-                 speedup, gate_compiled_speedup);
     return 1;
   }
   return 0;
@@ -376,7 +315,6 @@ int main(int argc, char** argv) {
   std::string out_dir = ".";
   double min_seconds = 0.5;
   double gate_ref = 0;
-  double gate_speedup = 0;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--perf-suite") == 0) {
       perf_suite = true;
@@ -386,13 +324,10 @@ int main(int argc, char** argv) {
       min_seconds = std::atof(argv[++i]);
     } else if (std::strcmp(argv[i], "--gate-ref") == 0 && i + 1 < argc) {
       gate_ref = std::atof(argv[++i]);
-    } else if (std::strcmp(argv[i], "--gate-speedup") == 0 && i + 1 < argc) {
-      gate_speedup = std::atof(argv[++i]);
     }
   }
   if (perf_suite) {
-    return rmrsim::run_perf_suite(out_dir, min_seconds, gate_ref,
-                                  gate_speedup);
+    return rmrsim::run_perf_suite(out_dir, min_seconds, gate_ref);
   }
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;

@@ -59,14 +59,14 @@ class History {
   /// very first append pays a reallocation.
   void reserve(std::size_t n) { records_.reserve(n); }
 
-  /// Counters-only fast appends for the compiled step engine: fold the step
-  /// directly into the aggregates without materializing a StepRecord. Each is
-  /// exactly append() + fold_into_counters() specialized for its step shape;
-  /// kCountersOnly mode is required so no record store is bypassed. Crash and
-  /// recovery events never take this path (Simulation::crash/recover build
-  /// full records), so note_event_step covers call/mark/directive/delay only.
-  /// Defined inline below the class: they run once per simulated step on the
-  /// compiled engine's hot loop, where a cross-TU call is measurable.
+  /// Counters-only fast appends for Simulation::run's fast path: fold the
+  /// step directly into the aggregates without materializing a StepRecord.
+  /// Each is exactly append() + fold_into_counters() specialized for its step
+  /// shape; kCountersOnly mode is required so no record store is bypassed.
+  /// Crash and recovery events never take this path (Simulation::crash/
+  /// recover build full records), so note_event_step covers call/mark/
+  /// directive/delay only. Defined inline below the class: they run once per
+  /// simulated step on the fast path, where a cross-TU call is measurable.
   void note_mem_step(ProcId p, bool rmr, bool ll_sc, bool terminated);
   void note_event_step(ProcId p, bool terminated);
 

@@ -22,8 +22,8 @@ class RmrLedger {
   void record(ProcId p, const MemOp& op, bool rmr);
 
   /// Batch charge: equivalent to `ops` record() calls of which `rmrs` were
-  /// RMRs. The compiled engine's fast path accumulates per process and
-  /// flushes at schedule-point granularity (Simulation::run exit).
+  /// RMRs. Used to rebuild a ledger from its serialized counters
+  /// (runtime/snapshot_codec.cc); the step loop charges per op via record().
   void charge(ProcId p, std::uint64_t ops, std::uint64_t rmrs);
 
   /// Total shared-memory operations applied by `p`.

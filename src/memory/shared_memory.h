@@ -63,27 +63,6 @@ class SharedMemory {
   /// coherence-event publication.
   OpOutcome apply(ProcId p, const MemOp& op);
 
-  /// Fast-path variant for the compiled step engine: identical store and
-  /// pricing semantics, but the ledger is NOT charged and no coherence
-  /// event is published. Callers accumulate (ops, rmrs) per process and
-  /// flush via ledger().charge() — sound because ledger entries are plain
-  /// commuting increments. Only valid with no listener attached. Inline
-  /// (runs once per memory-op step on the compiled hot loop).
-  OpOutcome apply_unledgered(ProcId p, const MemOp& op) {
-    ensure(listener_ == nullptr,
-           "apply_unledgered() is only valid with no coherence listener");
-    const bool rmr = model_->classify_rmr(p, op, store_);
-    const MemoryStore::ApplyResult applied = store_.apply(p, op);
-    int remote_copies_before = 0;
-    model_->on_applied(p, op, applied.wrote, store_, &remote_copies_before);
-    return OpOutcome{
-        .result = applied.result,
-        .rmr = rmr,
-        .nontrivial = applied.wrote,
-        .prev_writer = applied.prev_writer,
-    };
-  }
-
   int nprocs() const { return store_.nprocs(); }
   const MemoryStore& store() const { return store_; }
   const RmrLedger& ledger() const { return ledger_; }

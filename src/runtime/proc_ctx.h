@@ -138,12 +138,6 @@ class ProcCtx {
 
   const PendingAction& pending() const { return pending_; }
 
-  /// Parks a pending action directly — the compiled engine's analogue of an
-  /// awaiter's await_suspend. Compiled processes have no coroutine frame, so
-  /// no resume point is recorded; the simulator advances them through the
-  /// bytecode completion functions instead of resume_*().
-  void set_pending(const PendingAction& a) { pending_ = a; }
-
   /// Applies the deposited result and resumes the coroutine stack to its
   /// next suspension point (or completion).
   void resume_with_outcome(const OpOutcome& outcome) {

@@ -14,36 +14,17 @@ Simulation::Simulation(SharedMemory& memory, std::vector<Program> programs,
 Simulation::Simulation(SharedMemory& memory,
                        std::shared_ptr<const std::vector<Program>> programs,
                        DirectivePolicy policy)
-    : Simulation(memory, std::move(programs), nullptr, std::move(policy)) {}
-
-Simulation::Simulation(SharedMemory& memory,
-                       std::shared_ptr<const std::vector<Program>> programs,
-                       std::shared_ptr<const BytecodeSet> bytecode,
-                       DirectivePolicy policy)
     : memory_(&memory), programs_(std::move(programs)),
-      bytecode_(std::move(bytecode)), policy_(std::move(policy)) {
+      policy_(std::move(policy)) {
   const std::vector<Program>& progs = *programs_;
   ensure(static_cast<int>(progs.size()) <= memory.nprocs(),
          "more programs than processors");
-  if (bytecode_ != nullptr) {
-    ensure(bytecode_->per_proc.size() == progs.size(),
-           "bytecode set size must match the program vector");
-  }
   procs_.reserve(progs.size());
   schedule_.reserve(1024);
   for (std::size_t i = 0; i < progs.size(); ++i) {
     Proc p;
     p.ctx = std::make_unique<ProcCtx>(static_cast<ProcId>(i), memory.nprocs());
-    const BytecodeProgram* bc =
-        bytecode_ != nullptr ? bytecode_->per_proc[i].get() : nullptr;
-    if (bc != nullptr) {
-      // Compiled process: no coroutine frame is ever created, even when a
-      // coroutine program is also supplied (the oracle form stays unused).
-      p.bc = bc;
-      p.th.reset(*bc);
-      p.started = true;
-      ++unfinished_;
-    } else if (progs[i]) {
+    if (progs[i]) {
       p.task = progs[i](*p.ctx);
       p.started = true;
       ++unfinished_;
@@ -57,32 +38,19 @@ Simulation::Simulation(SharedMemory& memory,
   // visible, nothing more.
   for (Proc& p : procs_) {
     if (!p.started) continue;
-    if (p.bc != nullptr) {
-      if (bc_advance(p)) {
-        p.finished = true;
-        --unfinished_;
-      } else {
-        arm_delay(p);
-      }
-      continue;
-    }
     p.task.handle().resume();
-    if (p.task.done()) {
-      p.task.rethrow_if_error();
-      p.finished = true;
-      --unfinished_;
-      p.ctx->mark_finished();
-    } else {
-      arm_delay(p);
-    }
+    settle(p);
   }
 }
 
-bool Simulation::bc_advance(Proc& pr) {
-  if (bc_settle(*pr.bc, pr.th)) {
-    pr.ctx->set_pending(bc_decode_pending(*pr.bc, pr.th));
+bool Simulation::settle(Proc& pr) {
+  if (!pr.task.done()) {
+    arm_delay(pr);
     return false;
   }
+  pr.task.rethrow_if_error();
+  pr.finished = true;
+  --unfinished_;
   pr.ctx->mark_finished();
   return true;
 }
@@ -128,11 +96,7 @@ const StepRecord& Simulation::step(ProcId p) {
       rec.outcome = outcome;
       rec.var_home = memory_->store().home(a.op.var);
       resume.outcome = outcome;
-      if (pr.bc != nullptr) {
-        bc_complete_op(*pr.bc, pr.th, outcome);
-      } else {
-        pr.ctx->resume_with_outcome(outcome);
-      }
+      pr.ctx->resume_with_outcome(outcome);
       break;
     }
     case ActionKind::kEvent: {
@@ -140,11 +104,7 @@ const StepRecord& Simulation::step(ProcId p) {
       rec.event = a.event;
       rec.code = a.code;
       rec.value = a.value;
-      if (pr.bc != nullptr) {
-        bc_complete_plain(*pr.bc, pr.th);
-      } else {
-        pr.ctx->resume_plain();
-      }
+      pr.ctx->resume_plain();
       break;
     }
     case ActionKind::kDirective: {
@@ -156,11 +116,7 @@ const StepRecord& Simulation::step(ProcId p) {
       rec.code = d.action;
       rec.value = d.arg;
       resume.directive = d;
-      if (pr.bc != nullptr) {
-        bc_complete_directive(*pr.bc, pr.th, d);
-      } else {
-        pr.ctx->resume_with_directive(d);
-      }
+      pr.ctx->resume_with_directive(d);
       break;
     }
     case ActionKind::kDelay: {
@@ -169,36 +125,15 @@ const StepRecord& Simulation::step(ProcId p) {
       rec.kind = StepRecord::Kind::kEvent;
       rec.event = EventKind::kDelay;
       rec.value = a.delay_ticks;
-      if (pr.bc != nullptr) {
-        bc_complete_plain(*pr.bc, pr.th);
-      } else {
-        pr.ctx->resume_from_delay();
-      }
+      pr.ctx->resume_from_delay();
       break;
     }
     case ActionKind::kFinished:
       fail("stepping a process with no pending action");
   }
-  // Compiled processes need no resume log: their whole state is (pc, regs),
-  // snapshotted by plain copy.
-  if (fork_log_ && pr.bc == nullptr) pr.log.push_back(resume);
+  if (fork_log_) pr.log.push_back(resume);
   ++now_;
-
-  bool done;
-  if (pr.bc != nullptr) {
-    done = bc_advance(pr);
-  } else {
-    done = pr.task.done();
-    if (done) pr.task.rethrow_if_error();
-  }
-  if (done) {
-    pr.finished = true;
-    --unfinished_;
-    pr.ctx->mark_finished();
-    rec.terminated_after = true;
-  } else {
-    arm_delay(pr);
-  }
+  rec.terminated_after = settle(pr);
   ++pr.steps;
   schedule_.push_back(p);
   return history_.append(std::move(rec));
@@ -299,13 +234,7 @@ void Simulation::recover(ProcId p) {
   // Fresh control block + fresh coroutine frame: all local state is lost,
   // exactly the RME failure model. Shared memory is untouched.
   pr.ctx = std::make_unique<ProcCtx>(p, memory_->nprocs());
-  if (pr.bc != nullptr) {
-    // Fresh (pc, registers): all local state is lost, like a destroyed
-    // coroutine frame. The program restarts from instruction 0.
-    pr.th.reset(*pr.bc);
-  } else {
-    pr.task = (*programs_)[static_cast<std::size_t>(p)](*pr.ctx);
-  }
+  pr.task = (*programs_)[static_cast<std::size_t>(p)](*pr.ctx);
   pr.log.clear();  // fresh incarnation: its frame replays from the prologue
   pr.crashed = false;
   ++pr.recoveries;
@@ -318,24 +247,8 @@ void Simulation::recover(ProcId p) {
   history_.append(std::move(rec));
   // Re-run the local prologue to the first suspension point, mirroring the
   // constructor. No memory operation is applied here.
-  if (pr.bc != nullptr) {
-    if (bc_advance(pr)) {
-      pr.finished = true;
-      --unfinished_;
-    } else {
-      arm_delay(pr);
-    }
-    return;
-  }
   pr.task.handle().resume();
-  if (pr.task.done()) {
-    pr.task.rethrow_if_error();
-    pr.finished = true;
-    --unfinished_;
-    pr.ctx->mark_finished();
-  } else {
-    arm_delay(pr);
-  }
+  settle(pr);
 }
 
 void Simulation::erase_process(ProcId p) {
@@ -413,19 +326,15 @@ WorldSnapshot Simulation::snapshot() const {
     ps.steps = pr.steps;
     ps.wake_time = pr.wake_time;
     ps.log = pr.log;
-    ps.pc = pr.th.pc;
-    ps.regs = pr.th.regs;
     s.procs.push_back(std::move(ps));
   }
   s.programs = programs_;
-  s.bytecode = bytecode_;
   s.policy = policy_;
   return s;
 }
 
 Simulation::Simulation(SharedMemory& memory, const WorldSnapshot& snap)
-    : memory_(&memory), programs_(snap.programs), bytecode_(snap.bytecode),
-      policy_(snap.policy) {
+    : memory_(&memory), programs_(snap.programs), policy_(snap.policy) {
   const std::vector<Program>& progs = *programs_;
   ensure(static_cast<int>(progs.size()) <= memory.nprocs(),
          "more programs than processors");
@@ -436,14 +345,10 @@ Simulation::Simulation(SharedMemory& memory, const WorldSnapshot& snap)
   schedule_.reserve(snap.schedule.size() + 64);
   for (std::size_t i = 0; i < progs.size(); ++i) {
     const WorldSnapshot::ProcState& ps = snap.procs[i];
-    const BytecodeProgram* bc =
-        bytecode_ != nullptr ? bytecode_->per_proc[i].get() : nullptr;
-    ensure(ps.started ==
-               (static_cast<bool>(progs[i]) || bc != nullptr),
+    ensure(ps.started == static_cast<bool>(progs[i]),
            "fork restore: start state diverged");
     Proc p;
     p.ctx = std::make_unique<ProcCtx>(static_cast<ProcId>(i), memory.nprocs());
-    p.bc = bc;
     p.started = ps.started;
     p.finished = ps.finished;
     p.erased = ps.erased;
@@ -467,14 +372,6 @@ Simulation::Simulation(SharedMemory& memory, const WorldSnapshot& snap)
       // Crashed but recoverable: counts as unfinished, has no frame.
       p.ctx->mark_crashed();
       ++unfinished_;
-    } else if (bc != nullptr) {
-      // Live compiled process: its whole state is the captured (pc, regs)
-      // pair. The pending action is a pure function of the instruction at
-      // pc and the restored registers — recomputed, not replayed.
-      ++unfinished_;
-      p.th.pc = ps.pc;
-      p.th.regs = ps.regs;
-      p.ctx->set_pending(bc_decode_pending(*bc, p.th));
     } else {
       // Live: run the prologue, then fast-forward the fresh frame by
       // replaying the incarnation's resume log. No memory op is applied,
@@ -546,60 +443,50 @@ std::size_t WorldSnapshot::approx_bytes() const {
   bytes += schedule.size() * sizeof(ProcId);
   bytes += fault_trace.size() * sizeof(Simulation::FaultRecord);
   for (const ProcState& ps : procs) {
-    bytes += sizeof(ProcState) + ps.log.size() * sizeof(ResumeRecord) +
-             ps.regs.size() * sizeof(Word);
+    bytes += sizeof(ProcState) + ps.log.size() * sizeof(ResumeRecord);
   }
   return bytes;
 }
 
-void Simulation::step_compiled_fast(ProcId p, Proc& pr,
-                                    std::vector<std::uint64_t>& batch_ops,
-                                    std::vector<std::uint64_t>& batch_rmrs) {
+void Simulation::step_fast(ProcId p) {
+  Proc& pr = proc(p);
+  ensure(!pr.finished, "stepping a terminated process");
+  ensure(!pr.crashed, "stepping a crashed process (recover it first)");
   const PendingAction& a = pr.ctx->pending();
   bool mem = false;
   bool rmr = false;
   bool ll_sc = false;
   switch (a.kind) {
     case ActionKind::kMemOp: {
-      const OpOutcome outcome = memory_->apply_unledgered(p, a.op);
+      // Charged to the ledger here, per step: FaultScheduler's rmr: trigger
+      // reads the ledger between steps, so a batched charge would fire late.
+      const OpOutcome outcome = memory_->apply(p, a.op);
       mem = true;
       rmr = outcome.rmr;
       ll_sc = a.op.type == OpType::kLl || a.op.type == OpType::kSc;
-      bc_complete_op(*pr.bc, pr.th, outcome);
+      pr.ctx->resume_with_outcome(outcome);
       break;
     }
     case ActionKind::kEvent:
-      bc_complete_plain(*pr.bc, pr.th);
+      pr.ctx->resume_plain();
       break;
-    case ActionKind::kDirective: {
+    case ActionKind::kDirective:
       ensure(static_cast<bool>(policy_),
              "driver requested a directive but no policy is set");
-      bc_complete_directive(*pr.bc, pr.th, policy_(p, pr.directives++));
+      pr.ctx->resume_with_directive(policy_(p, pr.directives++));
       break;
-    }
     case ActionKind::kDelay:
       ensure(now_ >= pr.wake_time,
              "stepping a delayed process before its wake time");
-      bc_complete_plain(*pr.bc, pr.th);
+      pr.ctx->resume_from_delay();
       break;
     case ActionKind::kFinished:
       fail("stepping a process with no pending action");
   }
   ++now_;
+  const bool done = settle(pr);
   ++pr.steps;
   schedule_.push_back(p);
-  if (mem) {
-    ++batch_ops[static_cast<std::size_t>(p)];
-    if (rmr) ++batch_rmrs[static_cast<std::size_t>(p)];
-  }
-  bool done = false;
-  if (bc_advance(pr)) {
-    pr.finished = true;
-    --unfinished_;
-    done = true;
-  } else {
-    arm_delay(pr);
-  }
   if (mem) {
     history_.note_mem_step(p, rmr, ll_sc, done);
   } else {
@@ -610,19 +497,11 @@ void Simulation::step_compiled_fast(ProcId p, Proc& pr,
 Simulation::RunResult Simulation::run(Scheduler& sched,
                                       std::uint64_t max_steps) {
   RunResult r;
-  // Counters-only fast path for compiled processes: per-step records are
-  // dropped anyway, nothing consumes resume logs or coherence events, and
-  // ledger increments commute — so steps skip StepRecord construction
-  // entirely and ledger charges are batched per process, flushed below.
-  const bool fast = bytecode_ != nullptr &&
-                    history_.mode() == HistoryMode::kCountersOnly &&
+  // Counters-only fast path: per-step records are dropped anyway and nothing
+  // consumes resume logs or coherence events, so steps skip StepRecord
+  // construction entirely (DESIGN.md §9.1).
+  const bool fast = history_.mode() == HistoryMode::kCountersOnly &&
                     !fork_log_ && memory_->listener() == nullptr;
-  std::vector<std::uint64_t> batch_ops;
-  std::vector<std::uint64_t> batch_rmrs;
-  if (fast) {
-    batch_ops.assign(procs_.size(), 0);
-    batch_rmrs.assign(procs_.size(), 0);
-  }
   while (r.steps < max_steps && !all_terminated()) {
     const ProcId p = sched.next(*this);
     if (p == kNoProc) {
@@ -641,23 +520,11 @@ Simulation::RunResult Simulation::run(Scheduler& sched,
       continue;
     }
     if (fast) {
-      Proc& pr = proc(p);
-      if (pr.bc != nullptr && !pr.finished && !pr.crashed) {
-        step_compiled_fast(p, pr, batch_ops, batch_rmrs);
-        ++r.steps;
-        continue;
-      }
+      step_fast(p);
+    } else {
+      step(p);
     }
-    step(p);
     ++r.steps;
-  }
-  if (fast) {
-    for (std::size_t i = 0; i < batch_ops.size(); ++i) {
-      if (batch_ops[i] != 0) {
-        memory_->ledger().charge(static_cast<ProcId>(i), batch_ops[i],
-                                 batch_rmrs[i]);
-      }
-    }
   }
   r.all_terminated = all_terminated();
   return r;

@@ -16,7 +16,6 @@
 
 #include "history/history.h"
 #include "memory/shared_memory.h"
-#include "runtime/bytecode.h"
 #include "runtime/coro.h"
 #include "runtime/proc_ctx.h"
 
@@ -74,22 +73,7 @@ class Simulation {
              std::shared_ptr<const std::vector<Program>> programs,
              DirectivePolicy policy = {});
 
-  /// Same, with compiled bytecode attached (runtime/bytecode.h). Processes
-  /// with a non-null entry in `bytecode` execute on the compiled engine —
-  /// per-process state is a (pc, register file) pair, no coroutine frame —
-  /// through the same step()/pricing/recording path, so histories, ledgers
-  /// and schedules are byte-identical to the coroutine engine (the
-  /// oracle-parity contract). A null `bytecode`, or null entries, fall back
-  /// to the coroutine programs.
-  Simulation(SharedMemory& memory,
-             std::shared_ptr<const std::vector<Program>> programs,
-             std::shared_ptr<const BytecodeSet> bytecode,
-             DirectivePolicy policy = {});
-
   int nprocs() const { return static_cast<int>(procs_.size()); }
-
-  /// True iff p runs on the compiled (bytecode) engine.
-  bool compiled(ProcId p) const { return proc(p).bc != nullptr; }
 
   /// True iff p has a pending action to apply.
   bool runnable(ProcId p) const;
@@ -323,11 +307,6 @@ class Simulation {
     // program restarts from its prologue, so its frame is a function of the
     // post-recovery payloads only.
     std::vector<ResumeRecord> log;
-    // Compiled engine: non-null iff this process runs on bytecode. The
-    // program is owned by the simulation's BytecodeSet; `th` is the whole
-    // mutable state (snapshotted by plain copy — no resume log needed).
-    const BytecodeProgram* bc = nullptr;
-    BcThread th;
   };
 
   Proc& proc(ProcId p);
@@ -343,18 +322,17 @@ class Simulation {
   /// Arms a freshly-suspended delay (records its wake time).
   void arm_delay(Proc& pr);
 
-  /// Compiled engine: runs local bytecode from the current pc and parks the
-  /// next pending action in the ctx. Returns true iff the program halted.
-  bool bc_advance(Proc& pr);
+  /// After pr's frame was resumed: marks pr finished if the frame ran to
+  /// completion (rethrowing any escaped exception), else arms a fresh
+  /// delay. Returns true iff pr finished.
+  bool settle(Proc& pr);
 
-  /// Counters-only fast path (no records, no fork log, no listener, ledger
-  /// batched): applies p's pending action and advances it without building
+  /// Counters-only fast path (no records, no fork log, no listener): applies
+  /// p's pending action and resumes its frame like step(), without building
   /// a StepRecord. Counter updates replicate History::fold_into_counters
-  /// exactly; `batch_ops`/`batch_rmrs` accumulate the ledger charges the
-  /// slow path would have recorded, flushed by run() at loop exit.
-  void step_compiled_fast(ProcId p, Proc& pr,
-                          std::vector<std::uint64_t>& batch_ops,
-                          std::vector<std::uint64_t>& batch_rmrs);
+  /// exactly, and the ledger is charged per step through SharedMemory::apply
+  /// — fault triggers read it between steps.
+  void step_fast(ProcId p);
 
   SharedMemory* memory_;
   std::uint64_t now_ = 0;
@@ -364,9 +342,6 @@ class Simulation {
   // frames are created in the constructor. Shared (immutably) with every
   // snapshot and restored world forked from this one.
   std::shared_ptr<const std::vector<Program>> programs_;
-  // Compiled programs (may be null: all-coroutine). Shared immutably with
-  // snapshots and restored worlds, like programs_.
-  std::shared_ptr<const BytecodeSet> bytecode_;
   std::vector<Proc> procs_;
   int unfinished_ = 0;  // procs not yet finished: all_terminated() in O(1)
   DirectivePolicy policy_;
@@ -377,7 +352,7 @@ class Simulation {
 };
 
 // Inline: proc()/ready()/runnable() run once per candidate inside every
-// scheduler's pick loop — on the per-step hot path for both engines.
+// scheduler's pick loop — on the per-step hot path.
 inline Simulation::Proc& Simulation::proc(ProcId p) {
   ensure(p >= 0 && p < nprocs(), "process id out of range");
   return procs_[static_cast<std::size_t>(p)];
@@ -423,9 +398,6 @@ struct WorldSnapshot {
     std::uint64_t steps = 0;
     std::uint64_t wake_time = 0;
     std::vector<ResumeRecord> log;
-    // Compiled engine state (POD: restored by plain copy, no log replay).
-    std::uint32_t pc = 0;
-    std::vector<Word> regs;
   };
 
   // The store/ledger initializers are 1-processor placeholders, overwritten
@@ -444,7 +416,6 @@ struct WorldSnapshot {
   // (algorithm objects, which hold only VarIds and no mutable state) alive
   // via `keepalive`.
   std::shared_ptr<const std::vector<Program>> programs;
-  std::shared_ptr<const BytecodeSet> bytecode;
   Simulation::DirectivePolicy policy;
   /// Opaque owner of whatever the programs capture by reference (typically
   /// the ExploreInstance keepalive). Carried through restore() by callers.
@@ -457,7 +428,7 @@ struct WorldSnapshot {
   /// Deterministic content hash (FNV-1a 64, runtime/snapshot_codec.cc) over
   /// the world's *semantic* state: store content, cost-model architectural
   /// state, RMR ledger, clock, history counters, and every process's control
-  /// state (flags, fault counters, wake time, resume log, compiled pc/regs).
+  /// state (flags, fault counters, wake time, resume log).
   /// Deliberately excludes how the state was reached — the schedule, the
   /// fault trace, full-mode history records, and diagnostic variable names —
   /// so two worlds reached by different interleavings of equivalent work

@@ -67,9 +67,6 @@ void put_procs(std::string& out, const WorldSnapshot& snap) {
       put_u32(out, static_cast<std::uint32_t>(rec.directive.action));
       put_u64(out, static_cast<std::uint64_t>(rec.directive.arg));
     }
-    put_u32(out, ps.pc);
-    put_u32(out, static_cast<std::uint32_t>(ps.regs.size()));
-    for (const Word w : ps.regs) put_u64(out, static_cast<std::uint64_t>(w));
   }
 }
 
@@ -104,13 +101,6 @@ std::vector<WorldSnapshot::ProcState> take_procs(ByteReader& r) {
       rec.directive.action = static_cast<int>(r.u32());
       rec.directive.arg = static_cast<Word>(r.u64());
       ps.log.push_back(rec);
-    }
-    ps.pc = r.u32();
-    const std::uint32_t nregs = r.u32();
-    r.need(std::size_t{8} * nregs);
-    ps.regs.reserve(nregs);
-    for (std::uint32_t j = 0; j < nregs; ++j) {
-      ps.regs.push_back(static_cast<Word>(r.u64()));
     }
     procs.push_back(std::move(ps));
   }
@@ -187,7 +177,6 @@ WorldSnapshot decode_world_snapshot(std::string_view bytes,
   }
   if (!r.done()) throw std::runtime_error("trailing bytes in snapshot");
   out.programs = proto.programs;
-  out.bytecode = proto.bytecode;
   out.policy = proto.policy;
   out.keepalive = proto.keepalive;
   return out;

@@ -1,15 +1,14 @@
 // Wire serialization of WorldSnapshot (sharded exploration).
 //
 // A WorldSnapshot deep-copies everything a world owns — except the program
-// callables, compiled bytecode, directive policy, and keepalive, which are
-// shared immutably and are not serializable (a std::function captures live
-// pointers). Shipping a snapshot to a worker process therefore splits the
+// callables, directive policy, and keepalive, which are shared immutably and
+// are not serializable (a std::function captures live pointers). Shipping a snapshot to a worker process therefore splits the
 // snapshot in two:
 //
 //  * the *content* — store values/masks, cost-model state, ledger, clock,
 //    history, schedule, fault trace, per-process control state and resume
 //    logs — crosses the wire via encode_world_snapshot();
-//  * the *immutables* — programs, bytecode, policy, keepalive — are grafted
+//  * the *immutables* — programs, policy, keepalive — are grafted
 //    on the receiving side from a `proto` snapshot the worker builds locally
 //    by constructing the same instance (same builder, same options) and
 //    snapshotting it untouched.
@@ -34,7 +33,7 @@ namespace rmrsim {
 std::string encode_world_snapshot(const WorldSnapshot& snap);
 
 /// Rebuilds a snapshot from wire content, grafting the shared immutables
-/// (programs, bytecode, policy, keepalive) and the store's diagnostic names
+/// (programs, policy, keepalive) and the store's diagnostic names
 /// from `proto`. The result restores into a world byte-equivalent to the
 /// sender's (same future steps, ledger, history).
 WorldSnapshot decode_world_snapshot(std::string_view bytes,

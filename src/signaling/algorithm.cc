@@ -1,7 +1,5 @@
 #include "signaling/algorithm.h"
 
-#include <string>
-
 #include "common/check.h"
 
 namespace rmrsim {
@@ -14,14 +12,6 @@ SubTask<void> SignalingAlgorithm::wait(ProcCtx& ctx) {
     const bool issued = co_await poll(ctx);
     if (issued) co_return;
   }
-}
-
-void SignalingAlgorithm::lower_poll(BytecodeBuilder&, ProcId, BcReg) const {
-  fail(std::string(name()) + " does not implement bytecode lowering");
-}
-
-void SignalingAlgorithm::lower_signal(BytecodeBuilder&, ProcId) const {
-  fail(std::string(name()) + " does not implement bytecode lowering");
 }
 
 ProcTask signaling_driver(ProcCtx& ctx, SignalingAlgorithm* alg) {

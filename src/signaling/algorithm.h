@@ -21,7 +21,6 @@
 #include <memory>
 #include <string_view>
 
-#include "runtime/bytecode.h"
 #include "runtime/coro.h"
 #include "runtime/proc_ctx.h"
 #include "runtime/simulation.h"
@@ -42,26 +41,6 @@ class SignalingAlgorithm {
   /// by repeated Poll() — the reduction the paper notes for every variant.
   /// Algorithms with a cheaper native blocking path may override.
   virtual SubTask<void> wait(ProcCtx& ctx);
-
-  // ---- bytecode lowering (compiled step engine) -----------------------
-  //
-  // An algorithm that opts in emits straight-line/branching bytecode whose
-  // shared-memory ops match its coroutine body step for step — the oracle-
-  // parity contract (DESIGN.md §9): under the same schedule, compiled and
-  // coroutine runs must produce identical histories and ledgers. Wait() is
-  // always lowered as the poll-loop reduction; algorithms with a native
-  // blocking wait still match because the bool plumbing is process-local.
-
-  /// True iff lower_poll()/lower_signal() are implemented.
-  virtual bool has_lowering() const { return false; }
-
-  /// Emits Poll()'s body for process `me` into `b`, leaving a normalized
-  /// 0/1 result in register `dst` (the value Poll() would co_return, as
-  /// recorded in its call_end event).
-  virtual void lower_poll(BytecodeBuilder& b, ProcId me, BcReg dst) const;
-
-  /// Emits Signal()'s body for process `me` into `b`.
-  virtual void lower_signal(BytecodeBuilder& b, ProcId me) const;
 
   virtual std::string_view name() const = 0;
 };

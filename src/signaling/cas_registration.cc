@@ -48,56 +48,4 @@ SubTask<void> CasRegistrationSignal::signal(ProcCtx& ctx) {
   }
 }
 
-void CasRegistrationSignal::lower_poll(BytecodeBuilder& b, ProcId me,
-                                       BcReg dst) const {
-  const BcReg t = b.reg();
-  const auto spin = b.label();
-  const auto end = b.label();
-  b.read(t, b.var(first_done_[me]));
-  b.jnz(t, spin);
-  const BcReg h = b.reg();
-  const BcReg old = b.reg();
-  const BcReg me_reg = b.reg();
-  const BcReg one = b.reg();
-  b.load_imm(me_reg, me);
-  b.load_imm(one, 1);
-  const auto retry = b.label();
-  const auto pushed = b.label();
-  b.bind(retry);
-  b.read(h, b.var(head_));
-  b.write(b.var(next_[me]), h);
-  b.cas(old, b.var(head_), /*expect=*/h, /*desired=*/me_reg);
-  b.jeq(old, h, pushed);
-  b.jump(retry);
-  b.bind(pushed);
-  b.write(b.var(first_done_[me]), one);
-  b.read(dst, b.var(s_));
-  b.ne_imm(dst, dst, 0);
-  b.jump(end);
-  b.bind(spin);
-  b.read(dst, b.var(v_[me]));
-  b.ne_imm(dst, dst, 0);
-  b.bind(end);
-}
-
-void CasRegistrationSignal::lower_signal(BytecodeBuilder& b, ProcId) const {
-  const BcReg one = b.reg();
-  b.load_imm(one, 1);
-  b.write(b.var(s_), one);
-  const BcReg node = b.reg();
-  b.read(node, b.var(head_));
-  const auto v_base = b.var_array(v_);
-  const auto next_base = b.var_array(next_);
-  const auto top = b.label();
-  const auto end = b.label();
-  b.bind(top);
-  b.jeq_imm(node, kNil, end);
-  b.write(v_base, one, /*ix=*/node);
-  // Chase the link: the index register is read at decode time, the result
-  // lands in the same register afterwards — exactly `node = read(next_[node])`.
-  b.read(node, next_base, /*ix=*/node);
-  b.jump(top);
-  b.bind(end);
-}
-
 }  // namespace rmrsim

@@ -21,15 +21,4 @@ SubTask<void> CcFlagSignal::wait(ProcCtx& ctx) {
   }
 }
 
-void CcFlagSignal::lower_poll(BytecodeBuilder& b, ProcId, BcReg dst) const {
-  b.read(dst, b.var(b_));
-  b.ne_imm(dst, dst, 0);
-}
-
-void CcFlagSignal::lower_signal(BytecodeBuilder& b, ProcId) const {
-  const BcReg one = b.reg();
-  b.load_imm(one, 1);
-  b.write(b.var(b_), one);
-}
-
 }  // namespace rmrsim

@@ -31,10 +31,6 @@ class CcFlagSignal final : public SignalingAlgorithm {
   /// reduction; kept explicit to mirror the paper's Section 5 text).
   SubTask<void> wait(ProcCtx& ctx) override;
 
-  bool has_lowering() const override { return true; }
-  void lower_poll(BytecodeBuilder& b, ProcId me, BcReg dst) const override;
-  void lower_signal(BytecodeBuilder& b, ProcId me) const override;
-
   std::string_view name() const override { return "cc-flag"; }
 
   VarId flag_var() const { return b_; }

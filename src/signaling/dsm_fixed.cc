@@ -59,24 +59,6 @@ SubTask<bool> DsmFixedWaitersTerminating::poll(ProcCtx& ctx) {
   co_return v != 0;
 }
 
-void DsmFixedWaitersSignal::lower_poll(BytecodeBuilder& b, ProcId me,
-                                       BcReg dst) const {
-  ensure(std::find(waiters_.begin(), waiters_.end(), me) != waiters_.end(),
-         "only a fixed waiter may call Poll() in this variant");
-  b.read(dst, b.var(v_[me]));
-  b.ne_imm(dst, dst, 0);
-}
-
-void DsmFixedWaitersSignal::lower_signal(BytecodeBuilder& b, ProcId) const {
-  // The waiter set is a compile-time constant, so the delivery loop unrolls
-  // into the same write sequence the coroutine's for-loop performs.
-  const BcReg one = b.reg();
-  b.load_imm(one, 1);
-  for (const ProcId w : waiters_) {
-    b.write(b.var(v_[w]), one);
-  }
-}
-
 SubTask<void> DsmFixedWaitersTerminating::signal(ProcCtx& ctx) {
   // Busy-wait for each fixed waiter to participate — a *local* spin, since
   // the participation flags live in the signaler's own module — then deliver
@@ -90,37 +72,6 @@ SubTask<void> DsmFixedWaitersTerminating::signal(ProcCtx& ctx) {
       if (here != 0) break;
     }
     co_await ctx.write(v_[w], 1);
-  }
-}
-
-void DsmFixedWaitersTerminating::lower_poll(BytecodeBuilder& b, ProcId me,
-                                            BcReg dst) const {
-  ensure(std::find(waiters_.begin(), waiters_.end(), me) != waiters_.end(),
-         "only a fixed waiter may call Poll() in this variant");
-  const BcReg t = b.reg();
-  const auto skip = b.label();
-  b.read(t, b.var(announced_[me]));
-  b.jnz(t, skip);
-  const BcReg one = b.reg();
-  b.load_imm(one, 1);
-  b.write(b.var(present_[me]), one);
-  b.write(b.var(announced_[me]), one);
-  b.bind(skip);
-  b.read(dst, b.var(v_[me]));
-  b.ne_imm(dst, dst, 0);
-}
-
-void DsmFixedWaitersTerminating::lower_signal(BytecodeBuilder& b,
-                                              ProcId) const {
-  const BcReg one = b.reg();
-  const BcReg here = b.reg();
-  b.load_imm(one, 1);
-  for (const ProcId w : waiters_) {
-    const auto spin = b.label();
-    b.bind(spin);
-    b.read(here, b.var(present_[w]));
-    b.jz(here, spin);
-    b.write(b.var(v_[w]), one);
   }
 }
 

@@ -35,10 +35,6 @@ class DsmFixedWaitersSignal final : public SignalingAlgorithm {
   SubTask<bool> poll(ProcCtx& ctx) override;
   SubTask<void> signal(ProcCtx& ctx) override;
 
-  bool has_lowering() const override { return true; }
-  void lower_poll(BytecodeBuilder& b, ProcId me, BcReg dst) const override;
-  void lower_signal(BytecodeBuilder& b, ProcId me) const override;
-
   std::string_view name() const override { return "dsm-fixed-waiters"; }
 
   const std::vector<ProcId>& waiters() const { return waiters_; }
@@ -55,10 +51,6 @@ class DsmFixedWaitersTerminating final : public SignalingAlgorithm {
 
   SubTask<bool> poll(ProcCtx& ctx) override;
   SubTask<void> signal(ProcCtx& ctx) override;
-
-  bool has_lowering() const override { return true; }
-  void lower_poll(BytecodeBuilder& b, ProcId me, BcReg dst) const override;
-  void lower_signal(BytecodeBuilder& b, ProcId me) const override;
 
   std::string_view name() const override {
     return "dsm-fixed-waiters-terminating";

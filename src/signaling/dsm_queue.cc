@@ -50,53 +50,4 @@ SubTask<void> DsmQueueSignal::signal(ProcCtx& ctx) {
   }
 }
 
-void DsmQueueSignal::lower_poll(BytecodeBuilder& b, ProcId me,
-                                BcReg dst) const {
-  const BcReg t = b.reg();
-  const auto spin = b.label();
-  const auto end = b.label();
-  b.read(t, b.var(first_done_[me]));
-  b.jnz(t, spin);
-  const BcReg one = b.reg();
-  const BcReg slot = b.reg();
-  const BcReg me_reg = b.reg();
-  b.load_imm(one, 1);
-  b.load_imm(me_reg, me);
-  b.faa(slot, b.var(tail_), one);
-  b.write(b.var_array(slots_), me_reg, /*ix=*/slot);
-  b.write(b.var(first_done_[me]), one);
-  b.read(dst, b.var(s_));
-  b.ne_imm(dst, dst, 0);
-  b.jump(end);
-  b.bind(spin);
-  b.read(dst, b.var(v_[me]));
-  b.ne_imm(dst, dst, 0);
-  b.bind(end);
-}
-
-void DsmQueueSignal::lower_signal(BytecodeBuilder& b, ProcId) const {
-  const BcReg one = b.reg();
-  b.load_imm(one, 1);
-  b.write(b.var(s_), one);
-  const BcReg tail = b.reg();
-  b.read(tail, b.var(tail_));
-  const auto slots_base = b.var_array(slots_);
-  const auto v_base = b.var_array(v_);
-  const BcReg j = b.reg();
-  const BcReg id = b.reg();
-  b.load_imm(j, 0);
-  const auto top = b.label();
-  const auto spin = b.label();
-  const auto end = b.label();
-  b.bind(top);
-  b.jeq(j, tail, end);
-  b.bind(spin);
-  b.read(id, slots_base, /*ix=*/j);
-  b.jeq_imm(id, kEmpty, spin);
-  b.write(v_base, one, /*ix=*/id);
-  b.add_imm(j, j, 1);
-  b.jump(top);
-  b.bind(end);
-}
-
 }  // namespace rmrsim

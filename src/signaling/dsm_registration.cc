@@ -45,49 +45,4 @@ SubTask<void> DsmRegistrationSignal::signal(ProcCtx& ctx) {
   }
 }
 
-void DsmRegistrationSignal::lower_poll(BytecodeBuilder& b, ProcId me,
-                                       BcReg dst) const {
-  const BcReg t = b.reg();
-  const auto spin = b.label();
-  const auto end = b.label();
-  b.read(t, b.var(first_done_[me]));
-  b.jnz(t, spin);
-  const BcReg one = b.reg();
-  b.load_imm(one, 1);
-  b.write(b.var(reg_[me]), one);
-  b.write(b.var(first_done_[me]), one);
-  b.read(dst, b.var(s_));
-  b.ne_imm(dst, dst, 0);
-  b.jump(end);
-  b.bind(spin);
-  b.read(dst, b.var(v_[me]));
-  b.ne_imm(dst, dst, 0);
-  b.bind(end);
-}
-
-void DsmRegistrationSignal::lower_signal(BytecodeBuilder& b, ProcId) const {
-  const BcReg one = b.reg();
-  b.load_imm(one, 1);
-  b.write(b.var(s_), one);
-  // The registration sweep is a runtime loop (same read/branch/write order
-  // as the coroutine's for-loop) over contiguous table blocks.
-  const auto reg_base = b.var_array(reg_);
-  const auto v_base = b.var_array(v_);
-  const BcReg i = b.reg();
-  const BcReg r = b.reg();
-  b.load_imm(i, 0);
-  const auto top = b.label();
-  const auto next = b.label();
-  const auto end = b.label();
-  b.bind(top);
-  b.jeq_imm(i, static_cast<Word>(reg_.size()), end);
-  b.read(r, reg_base, /*ix=*/i);
-  b.jz(r, next);
-  b.write(v_base, one, /*ix=*/i);
-  b.bind(next);
-  b.add_imm(i, i, 1);
-  b.jump(top);
-  b.bind(end);
-}
-
 }  // namespace rmrsim

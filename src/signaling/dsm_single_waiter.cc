@@ -37,38 +37,4 @@ SubTask<void> DsmSingleWaiterSignal::signal(ProcCtx& ctx) {
   }
 }
 
-void DsmSingleWaiterSignal::lower_poll(BytecodeBuilder& b, ProcId me,
-                                       BcReg dst) const {
-  const BcReg t = b.reg();
-  const auto spin = b.label();
-  const auto end = b.label();
-  b.read(t, b.var(registered_[me]));
-  b.jnz(t, spin);
-  const BcReg me_reg = b.reg();
-  b.load_imm(me_reg, me);
-  b.write(b.var(w_), me_reg);
-  const BcReg one = b.reg();
-  b.load_imm(one, 1);
-  b.write(b.var(registered_[me]), one);
-  b.read(dst, b.var(s_));
-  b.ne_imm(dst, dst, 0);
-  b.jump(end);
-  b.bind(spin);
-  b.read(dst, b.var(v_[me]));
-  b.ne_imm(dst, dst, 0);
-  b.bind(end);
-}
-
-void DsmSingleWaiterSignal::lower_signal(BytecodeBuilder& b, ProcId) const {
-  const BcReg one = b.reg();
-  b.load_imm(one, 1);
-  b.write(b.var(s_), one);
-  const BcReg w = b.reg();
-  b.read(w, b.var(w_));
-  const auto end = b.label();
-  b.jeq_imm(w, kNil, end);
-  b.write(b.var_array(v_), one, /*ix=*/w);
-  b.bind(end);
-}
-
 }  // namespace rmrsim

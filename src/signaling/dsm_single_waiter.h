@@ -25,10 +25,6 @@ class DsmSingleWaiterSignal final : public SignalingAlgorithm {
   SubTask<bool> poll(ProcCtx& ctx) override;
   SubTask<void> signal(ProcCtx& ctx) override;
 
-  bool has_lowering() const override { return true; }
-  void lower_poll(BytecodeBuilder& b, ProcId me, BcReg dst) const override;
-  void lower_signal(BytecodeBuilder& b, ProcId me) const override;
-
   std::string_view name() const override { return "dsm-single-waiter"; }
 
  private:

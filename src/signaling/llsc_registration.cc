@@ -42,51 +42,4 @@ SubTask<void> LlscRegistrationSignal::signal(ProcCtx& ctx) {
   }
 }
 
-void LlscRegistrationSignal::lower_poll(BytecodeBuilder& b, ProcId me,
-                                        BcReg dst) const {
-  const BcReg t = b.reg();
-  const auto spin = b.label();
-  const auto end = b.label();
-  b.read(t, b.var(first_done_[me]));
-  b.jnz(t, spin);
-  const BcReg h = b.reg();
-  const BcReg ok = b.reg();
-  const BcReg me_reg = b.reg();
-  const BcReg one = b.reg();
-  b.load_imm(me_reg, me);
-  b.load_imm(one, 1);
-  const auto retry = b.label();
-  b.bind(retry);
-  b.ll(h, b.var(head_));
-  b.write(b.var(next_[me]), h);
-  b.sc(ok, b.var(head_), me_reg);
-  b.jz(ok, retry);
-  b.write(b.var(first_done_[me]), one);
-  b.read(dst, b.var(s_));
-  b.ne_imm(dst, dst, 0);
-  b.jump(end);
-  b.bind(spin);
-  b.read(dst, b.var(v_[me]));
-  b.ne_imm(dst, dst, 0);
-  b.bind(end);
-}
-
-void LlscRegistrationSignal::lower_signal(BytecodeBuilder& b, ProcId) const {
-  const BcReg one = b.reg();
-  b.load_imm(one, 1);
-  b.write(b.var(s_), one);
-  const BcReg node = b.reg();
-  b.read(node, b.var(head_));
-  const auto v_base = b.var_array(v_);
-  const auto next_base = b.var_array(next_);
-  const auto top = b.label();
-  const auto end = b.label();
-  b.bind(top);
-  b.jeq_imm(node, kNil, end);
-  b.write(v_base, one, /*ix=*/node);
-  b.read(node, next_base, /*ix=*/node);
-  b.jump(top);
-  b.bind(end);
-}
-
 }  // namespace rmrsim

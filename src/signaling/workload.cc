@@ -4,7 +4,6 @@
 
 #include "common/check.h"
 #include "sched/schedulers.h"
-#include "signaling/compile.h"
 
 namespace rmrsim {
 
@@ -55,24 +54,7 @@ SignalingRun run_signaling_workload(std::unique_ptr<SharedMemory> mem,
   programs.emplace_back(
       [alg, idle](ProcCtx& ctx) { return signaler(ctx, alg, idle); });
 
-  std::shared_ptr<const BytecodeSet> bytecode;
-  if (options.engine == StepEngine::kCompiled) {
-    if (options.precompiled != nullptr) {
-      ensure(options.precompiled->per_proc.size() ==
-                 static_cast<std::size_t>(options.n_waiters) + 1,
-             "precompiled bytecode set does not match n_waiters + 1 procs");
-      bytecode = options.precompiled;
-    } else {
-      bytecode = compile_signaling_programs(
-          *alg, options.n_waiters + 1, options.blocking,
-          options.max_polls_per_waiter, options.signaler_idle_polls);
-    }
-  }
-  r.compiled = bytecode != nullptr;
-  r.sim = std::make_unique<Simulation>(
-      *r.mem,
-      std::make_shared<const std::vector<Program>>(std::move(programs)),
-      std::move(bytecode));
+  r.sim = std::make_unique<Simulation>(*r.mem, std::move(programs));
   r.sim->set_history_mode(options.history_mode);
   Simulation::RunResult result{};
   if (options.scheduler_seed == 0) {

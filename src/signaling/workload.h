@@ -31,8 +31,6 @@ struct SignalingRun {
   double amortized_rmrs() const;
 
   int n_waiters = 0;
-  /// True iff the run executed on the compiled (bytecode) engine.
-  bool compiled = false;
 };
 
 struct SignalingWorkloadOptions {
@@ -51,19 +49,6 @@ struct SignalingWorkloadOptions {
   /// Attached to the memory for the whole run (coherence-protocol pricing);
   /// flushed after completion. Must outlive the call. nullptr = none.
   CoherenceListener* listener = nullptr;
-  /// kCompiled lowers the drivers to bytecode (signaling/compile.h) when the
-  /// algorithm implements lowering; otherwise the run silently falls back to
-  /// the coroutine engine (check SignalingRun::compiled). Results are
-  /// byte-identical either way — the engines differ only in speed.
-  StepEngine engine = StepEngine::kCoroutine;
-  /// Optional compile-once cache for kCompiled: when set, this program set is
-  /// used as-is instead of recompiling per run. Sound because compilation is
-  /// a pure function of (algorithm, n_waiters, blocking, max_polls,
-  /// idle_polls) and variable ids are allocated deterministically — a set
-  /// compiled against one run's store is valid for every identically-shaped
-  /// run. Callers own the shape match; repeated-run benches use this so the
-  /// measured cost is the step loop, not n+1 recompiles per run.
-  std::shared_ptr<const BytecodeSet> precompiled;
 };
 
 /// Runs waiters (procs 0..n-1) plus one signaler (proc n) to completion

@@ -33,7 +33,9 @@
 
 namespace rmrsim::dist {
 
-inline constexpr std::uint32_t kProtocolVersion = 1;
+// Bump on any change to frame, message or snapshot bytes. v2: per-process
+// snapshot state no longer carries bytecode pc/register fields.
+inline constexpr std::uint32_t kProtocolVersion = 2;
 
 enum class MsgTag : std::uint32_t {
   kHello = 1,

@@ -22,7 +22,7 @@ int run_dist_worker(const ExploreBuilder& build, const ExploreChecker& check,
   write_frame(out_fd, encode_hello(hello));
 
   // Proto snapshot for grafting the unserializable immutables (programs,
-  // bytecode, policy, keepalive — see runtime/snapshot_codec.h): the
+  // policy, keepalive — see runtime/snapshot_codec.h): the
   // untouched world of a locally built instance, constructed exactly the
   // way the coordinator builds its own.
   std::shared_ptr<const WorldSnapshot> proto;

@@ -221,10 +221,6 @@ int cmd_signal(const Args& a) {
       static_cast<std::uint64_t>(a.get_int("seed", 0, 0, kLongMax));
   opt.blocking = a.has("blocking");
   if (opt.blocking) opt.signaler_idle_polls = 0;
-  const std::string engine = a.get("engine", "coro");
-  ensure(engine == "coro" || engine == "compiled",
-         "--engine expects coro|compiled, got '" + engine + "'");
-  if (engine == "compiled") opt.engine = StepEngine::kCompiled;
   ProtocolRig rig = make_protocol_rig(a, nprocs);
   opt.listener = rig.listener();
   auto run =
@@ -249,7 +245,6 @@ int cmd_signal(const Args& a) {
               waiters);
   TextTable t;
   t.set_header({"metric", "value"});
-  t.add_row({"engine", run.compiled ? "compiled" : "coroutine"});
   t.add_row({"steps", std::to_string(run.sim->history().size())});
   t.add_row({"total RMRs", std::to_string(run.mem->ledger().total_rmrs())});
   t.add_row({"max waiter RMRs", std::to_string(run.max_waiter_rmrs())});
@@ -771,8 +766,8 @@ int cmd_explore(const Args& a, const char* argv0) {
     }
     wargv.push_back("explore");
     static const std::set<std::string> coordinator_only = {
-        "shards",         "checkpoint-dir", "resume", "report",
-        "snapshot-stats", "shrink",         "naive",  "dedup"};
+        "shards", "checkpoint-dir", "resume", "report",
+        "snapshot-stats", "shrink", "naive"};
     for (const auto& [k, v] : a.kv) {
       if (coordinator_only.count(k) != 0) continue;
       wargv.push_back("--" + k);
@@ -949,9 +944,6 @@ void usage() {
       "[--key value ...]\n"
       "  signal    --alg A --model M --waiters N --delay D --seed S\n"
       "            [--blocking] [--trace timeline|csv|json]\n"
-      "            [--engine coro|compiled]  (compiled = bytecode fast\n"
-      "                       path; falls back to coro for algorithms\n"
-      "                       without a lowering — see the engine row)\n"
       "            [--protocols all|mesi,mesif,moesi,dragon]\n"
       "            [--write-buffer N]  (per-proc store buffer in front of\n"
       "                       the protocols; N entries, TSO drain order)\n"
@@ -1011,8 +1003,50 @@ void usage() {
       "            [--golden FILE]  (byte-compare BENCH_t1_*.json, exit 3)\n"
       "            replays the trace through every requested cost model and\n"
       "            protocol, writes BENCH_t1_<gen>.json; byte-identical for\n"
-      "            any --workers count\n",
+      "            any --workers count\n"
+      "a --key the subcommand does not read is an error (exit 2)\n",
       stderr);
+}
+
+// The keys each subcommand reads. main() refuses any other --key before the
+// subcommand starts, so a typo such as --waiterz is a one-line error instead
+// of a run with the default silently in its place. Keep in step with the
+// a.get/a.has/a.get_int calls of the cmd_* functions.
+const std::map<std::string, std::set<std::string>> kCommandKeys = {
+    {"signal",
+     {"alg", "blocking", "cycle-cost", "delay", "model", "protocols", "seed",
+      "trace", "waiters", "write-buffer"}},
+    {"mutex",
+     {"cycle-cost", "fault-plan", "lock", "max-steps", "model", "passages",
+      "procs", "protocols", "seed", "write-buffer"}},
+    {"adversary", {"alg", "lenient", "model", "n", "no-erase"}},
+    {"gme", {"model", "passages", "procs", "sessions"}},
+    {"explore",
+     {"alg", "backoff-ms", "checkpoint-dir", "checkpoint-interval", "depth",
+      "dist-worker", "inject-worker-failures", "item-attempts",
+      "item-step-limit", "lock", "max-nodes", "mode", "model", "naive",
+      "passages", "polls", "procs", "report", "resume", "shards", "shrink",
+      "snapshot-stats", "target", "trunk-depth", "waiters", "workers"}},
+    {"sweep",
+     {"check", "deterministic", "exp", "golden", "list", "max-n", "out",
+      "workers"}},
+    {"trace",
+     {"addr-map", "binary", "cycle-cost", "deterministic", "emit", "gen",
+      "golden", "in", "legacy-counters", "models", "no-replay", "ops", "out",
+      "procs", "protocols", "seed", "workers", "write-buffer"}},
+};
+
+/// The first key in `a` that `cmd` does not accept, if any.
+std::optional<std::string> unknown_key(const std::string& cmd,
+                                       const Args& a) {
+  const std::set<std::string>& keys = kCommandKeys.at(cmd);
+  for (const auto& [k, v] : a.kv) {
+    if (keys.count(k) == 0) return k;
+  }
+  for (const auto& [k, on] : a.flags) {
+    if (keys.count(k) == 0) return k;
+  }
+  return std::nullopt;
 }
 
 }  // namespace
@@ -1023,7 +1057,16 @@ int main(int argc, char** argv) {
     return 2;
   }
   const std::string cmd = argv[1];
+  if (kCommandKeys.count(cmd) == 0) {
+    usage();
+    return 2;
+  }
   const Args args = parse(argc, argv, 2);
+  if (const auto key = unknown_key(cmd, args)) {
+    std::fprintf(stderr, "error: %s does not accept --%s\n", cmd.c_str(),
+                 key->c_str());
+    return 2;
+  }
   try {
     if (cmd == "signal") return cmd_signal(args);
     if (cmd == "mutex") return cmd_mutex(args);
