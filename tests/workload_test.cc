@@ -5,20 +5,123 @@
 // byte-identical metrics).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <memory>
 #include <string>
+#include <unordered_map>
+#include <utility>
+#include <vector>
 
 #include "coherence/fleet.h"
 #include "coherence/write_buffer.h"
 #include "memory/shared_memory.h"
 #include "metrics/publish.h"
 #include "metrics/registry.h"
+#include "runtime/simulation.h"
+#include "sched/schedulers.h"
 #include "workload/generators.h"
 #include "workload/replay.h"
 #include "workload/trace.h"
 
 namespace rmrsim {
 namespace {
+
+// ---- reference replay: the trace driven through the simulator ----------
+//
+// replay_trace_core prices a trace with one apply loop in trace order. This
+// is the replay it stands for, kept as the oracle: the trace's global order
+// becomes a ScriptedScheduler script, each processor's subsequence becomes
+// a coroutine program, and Simulation runs the copy with counters-only
+// history. Every metric the loop publishes must be byte-equal to this.
+
+ProcTask reference_program(ProcCtx& ctx, const std::vector<MemOp>* ops) {
+  for (const MemOp& op : *ops) (void)co_await ctx.apply(op);
+}
+
+ProcId reference_home(const AddrMapSpec& map, std::uint64_t addr,
+                      ProcId toucher, int nprocs) {
+  switch (map.policy) {
+    case AddrMapSpec::Policy::kGlobal:
+      return kNoProc;
+    case AddrMapSpec::Policy::kFirstTouch:
+      return toucher;
+    case AddrMapSpec::Policy::kInterleave:
+      break;
+  }
+  return static_cast<ProcId>((addr / map.block) %
+                             static_cast<std::uint64_t>(nprocs));
+}
+
+MemOp reference_op(const TraceOp& t, VarId var) {
+  switch (t.kind) {
+    case TraceOpKind::kRead:
+      return MemOp::read(var);
+    case TraceOpKind::kWrite:
+      return MemOp::write(var, t.arg0);
+    case TraceOpKind::kCas:
+      return MemOp::cas(var, t.arg0, t.arg1);
+    case TraceOpKind::kFaa:
+      return MemOp::faa(var, t.arg0);
+    case TraceOpKind::kFas:
+      return MemOp::fas(var, t.arg0);
+    case TraceOpKind::kTas:
+      return MemOp::tas(var);
+    case TraceOpKind::kFence:
+      break;  // replayed on the per-processor fence variable
+  }
+  ADD_FAILURE() << "reference_op: unexpected trace op kind";
+  return MemOp::read(var);
+}
+
+MetricsRegistry reference_replay(const Trace& trace, SharedMemory& mem,
+                                 const AddrMapSpec& addr_map = {}) {
+  std::vector<VarId> fence(trace.nprocs);
+  for (int p = 0; p < trace.nprocs; ++p) {
+    fence[p] = mem.allocate_local(static_cast<ProcId>(p), 0);
+  }
+  std::unordered_map<std::uint64_t, VarId> vars;
+  std::vector<std::vector<MemOp>> per_proc(trace.nprocs);
+  std::vector<ProcId> script;
+  std::uint64_t fences = 0;
+  for (const TraceOp& t : trace.ops) {
+    script.push_back(t.proc);
+    if (t.kind == TraceOpKind::kFence) {
+      ++fences;
+      per_proc[t.proc].push_back(MemOp::faa(fence[t.proc], 0));
+      continue;
+    }
+    auto [it, inserted] = vars.try_emplace(t.addr, kNoVar);
+    if (inserted) {
+      it->second = mem.allocate(
+          0, reference_home(addr_map, t.addr, t.proc, trace.nprocs));
+    }
+    per_proc[t.proc].push_back(reference_op(t, it->second));
+  }
+  std::vector<Program> programs;
+  for (int p = 0; p < trace.nprocs; ++p) {
+    const std::vector<MemOp>* ops = &per_proc[p];
+    programs.emplace_back(
+        [ops](ProcCtx& ctx) { return reference_program(ctx, ops); });
+  }
+  Simulation sim(mem, std::move(programs));
+  sim.set_history_mode(HistoryMode::kCountersOnly);
+  ScriptedScheduler sched(std::move(script));
+  const Simulation::RunResult run = sim.run(sched, trace.ops.size() + 1);
+  EXPECT_EQ(run.steps, trace.ops.size());
+
+  MetricsRegistry reg;
+  publish_simulation(reg, sim);
+  reg.set("trace.ops", static_cast<double>(trace.ops.size()));
+  reg.set("trace.procs", static_cast<double>(trace.nprocs));
+  reg.set("trace.vars", static_cast<double>(vars.size()));
+  reg.set("trace.fences", static_cast<double>(fences));
+  reg.set("rmrs.per_op",
+          static_cast<double>(mem.ledger().total_rmrs()) /
+              std::max<double>(1.0,
+                               static_cast<double>(mem.ledger().total_ops())));
+  return reg;
+}
 
 /// Runs `fn`, which must throw std::logic_error, and returns the message.
 template <typename Fn>
@@ -348,6 +451,102 @@ TEST(Replay, UnknownProtocolRejected) {
   opts.protocols = {"mesi", "bogus"};
   EXPECT_TRUE(contains(error_of([&] { replay_trace(t, *mem, opts); }),
                        "unknown protocol 'bogus'"));
+}
+
+// ---- direct replay vs the simulator-driven reference -------------------
+
+std::vector<std::string> all_models() {
+  return {"dsm", "cc"};
+}
+
+std::unique_ptr<SharedMemory> model_for(const std::string& model, int n) {
+  return model == "dsm" ? make_dsm(n) : make_cc(n);
+}
+
+TEST(ReplayOracle, EveryGeneratorModelAndAddrMapMatchesTheSimulator) {
+  for (const std::string& kind : generator_names()) {
+    GenSpec g;
+    g.kind = kind;
+    g.procs = 6;
+    g.ops = 1500;
+    g.seed = 9;
+    const Trace t = generate_trace(g);
+    for (const std::string& model : all_models()) {
+      for (const char* map : {"global", "first-touch", "interleave:4"}) {
+        const AddrMapSpec spec = parse_addr_map(map);
+        auto direct = model_for(model, t.nprocs);
+        auto oracle = model_for(model, t.nprocs);
+        EXPECT_EQ(replay_trace_core(t, *direct, spec).to_json(),
+                  reference_replay(t, *oracle, spec).to_json())
+            << kind << " " << model << " " << map;
+      }
+    }
+  }
+}
+
+TEST(ReplayOracle, HandWrittenTraceWithFencesMatchesTheSimulator) {
+  const Trace t = parse_trace_text(
+      "rmrsim-trace v1 procs=3 ops=10\n"
+      "0 0 WR 8 1\n"
+      "1 0 FENCE\n"
+      "2 0 RD 8\n"
+      "0 1 FENCE\n"
+      "1 1 TAS 16\n"
+      "2 1 FAS 8 5\n"
+      "0 2 CAS 16 1 0\n"
+      "2 2 FENCE\n"
+      "1 2 FAA 24 2\n"
+      "0 3 RD 24\n");
+  for (const std::string& model : all_models()) {
+    auto direct = model_for(model, t.nprocs);
+    auto oracle = model_for(model, t.nprocs);
+    const MetricsRegistry reg = replay_trace_core(t, *direct);
+    EXPECT_EQ(reg.value("trace.fences"), 3.0);
+    EXPECT_EQ(reg.to_json(), reference_replay(t, *oracle).to_json())
+        << model;
+  }
+}
+
+TEST(ReplayOracle, IdleProcessorsMatchTheSimulator) {
+  // Processors 1 and 3 issue nothing: they neither participate nor finish.
+  const Trace t = parse_trace_text(
+      "rmrsim-trace v1 procs=4 ops=5\n"
+      "0 0 WR 4 1\n"
+      "2 0 RD 4\n"
+      "0 1 RD 8\n"
+      "2 1 FENCE\n"
+      "0 2 FAA 4 1\n");
+  for (const std::string& model : all_models()) {
+    auto direct = model_for(model, t.nprocs);
+    auto oracle = model_for(model, t.nprocs);
+    const MetricsRegistry reg = replay_trace_core(t, *direct);
+    EXPECT_EQ(reg.value("history.participants"), 2.0);
+    EXPECT_EQ(reg.value("history.finished"), 2.0);
+    EXPECT_EQ(reg.to_json(), reference_replay(t, *oracle).to_json())
+        << model;
+  }
+}
+
+TEST(ReplayOracle, FleetAndWriteBufferSeeTheSimulatorsEventStream) {
+  GenSpec g;
+  g.kind = "zipf";
+  g.procs = 8;
+  g.ops = 4000;
+  const Trace t = generate_trace(g);
+  auto priced = [&t](bool direct) {
+    ProtocolFleet fleet(t.nprocs);
+    WriteBuffer wb(fleet.listener(), t.nprocs, 4);
+    auto mem = make_cc(t.nprocs);
+    mem->set_listener(&wb);
+    MetricsRegistry reg =
+        direct ? replay_trace_core(t, *mem) : reference_replay(t, *mem);
+    wb.flush();
+    for (const auto& cache : fleet.caches()) publish_protocol(reg, *cache);
+    for (MessageCounter* c : fleet.counters()) publish_messages(reg, *c);
+    publish_write_buffer(reg, wb);
+    return reg.to_json();
+  };
+  EXPECT_EQ(priced(true), priced(false));
 }
 
 // ---- cycle-cost override ----------------------------------------------
