@@ -1,22 +1,32 @@
-// ProtocolFleet: every coherence protocol riding one event stream.
+// ProtocolFleet: the one listener stack that prices a run's coherence
+// traffic.
 //
-// Bundles the four snooping state machines (MESI, MESIF, MOESI, Dragon)
-// together with the legacy Section 8 message counters (broadcast bus, ideal
-// directory, coarse directory) behind a single CoherenceListener, so one
-// run — one schedule, one RMR tally — is simultaneously priced under every
-// protocol. That is what makes the differential gates sharp: the protocols
-// cannot disagree because they saw different schedules, only because their
-// state machines differ.
+// A caller names what it wants priced — any of the four snooping state
+// machines (MESI, MESIF, MOESI, Dragon), the legacy Section 8 message
+// counters (broadcast bus, ideal directory, coarse directory), and a
+// per-processor write buffer in front of them — and the fleet builds,
+// owns, flushes and publishes that stack. Every member rides one
+// CoherenceEvent stream, so one run (one schedule, one RMR tally) is priced
+// under all of them at once: the protocols cannot disagree because they saw
+// different schedules, only because their state machines differ.
+//
+// Trace replay, the CLI's --protocols runs and the E4/E8 experiments all
+// build their stack here, and publish() is the one place a stack's tallies
+// become metrics. Normalisations that only one caller needs (per op, per
+// RMR, amortized per process) stay with that caller.
 #pragma once
 
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "coherence/cache_controller.h"
 #include "coherence/protocols.h"
 #include "coherence/stats.h"
+#include "coherence/write_buffer.h"
+#include "metrics/registry.h"
 
 namespace rmrsim {
 
@@ -37,44 +47,88 @@ CycleCosts parse_cycle_costs(const std::string& spec);
 
 class ProtocolFleet {
  public:
-  explicit ProtocolFleet(int nprocs, CycleCosts costs = {});
+  /// `protocols`: state machines by name, in the order given (throws on an
+  /// unknown name). `legacy_counters`: also attach bus/ideal/coarse.
+  /// `write_buffer` > 0: that many per-processor store-buffer entries in
+  /// front of the members; throws if there are no members to drain into.
+  ProtocolFleet(int nprocs, const std::vector<std::string>& protocols,
+                bool legacy_counters = false, int write_buffer = 0,
+                CycleCosts costs = {});
+  ProtocolFleet(const ProtocolFleet&) = delete;
+  ProtocolFleet& operator=(const ProtocolFleet&) = delete;
 
-  /// The listener to hand to SharedMemory::set_coherence_listener (or to a
-  /// WriteBuffer wrapping it). Fans events out to every member.
-  CoherenceListener* listener() { return &fanout_; }
+  /// The listener to hand SharedMemory::set_listener (or a workload's
+  /// options): the write buffer if there is one, else the fan-out over the
+  /// members; nullptr when the fleet has no members.
+  CoherenceListener* listener();
 
-  SnoopingCache& mesi() { return *caches_[0]; }
-  SnoopingCache& mesif() { return *caches_[1]; }
-  SnoopingCache& moesi() { return *caches_[2]; }
-  SnoopingCache& dragon() { return *caches_[3]; }
+  /// Drains the write buffer into the members; call at end of run, before
+  /// reading tallies.
+  void flush();
+
   const std::vector<std::unique_ptr<SnoopingCache>>& caches() const {
     return caches_;
   }
-  /// Fleet member by protocol name; nullptr if absent.
-  SnoopingCache* cache(const std::string& name);
+  /// Member state machine by protocol name; nullptr if absent.
+  SnoopingCache* cache(std::string_view name);
 
+  /// The legacy counters (fed only when built with legacy_counters).
   BusBroadcastCounter& bus() { return bus_; }
   IdealDirectoryCounter& ideal() { return ideal_; }
   CoarseDirectoryCounter& coarse() { return coarse_; }
 
-  /// Every MessageCounter in the fleet (state machines + legacy counters),
-  /// for uniform table/metric emission.
+  /// Every MessageCounter in the fleet (state machines, then the legacy
+  /// counters if attached), for uniform table/metric emission.
   std::vector<MessageCounter*> counters();
 
+  /// The store buffer in front of the members; nullptr if none.
+  const WriteBuffer* write_buffer() const {
+    return wb_ ? &*wb_ : nullptr;
+  }
+
+  /// Zeroes every member's tallies and empties the write buffer.
   void reset();
 
   /// First invariant violation across every state machine, if any.
   std::optional<std::string> check_invariants() const;
 
+  /// Publishes the stack: msgs.<name>.* and cycles.<name>.* per state
+  /// machine, msgs.<name>.* per legacy counter, wb.* when buffered, and
+  /// protocol.invariants_ok (1.0 iff every state machine's invariants
+  /// hold) when any state machine is attached. Call after flush().
+  void publish(MetricsRegistry& reg) const;
+
   int nprocs() const { return nprocs_; }
 
  private:
+  /// Fans one event stream out to every member (SharedMemory takes one
+  /// listener).
+  class Fanout final : public CoherenceListener {
+   public:
+    void add(CoherenceListener* l) { members_.push_back(l); }
+    bool empty() const { return members_.empty(); }
+    void on_event(const CoherenceEvent& e) override {
+      for (CoherenceListener* l : members_) l->on_event(e);
+    }
+    void on_crash(ProcId p) override {
+      for (CoherenceListener* l : members_) l->on_crash(p);
+    }
+    void flush() override {
+      for (CoherenceListener* l : members_) l->flush();
+    }
+
+   private:
+    std::vector<CoherenceListener*> members_;
+  };
+
   int nprocs_;
+  bool legacy_;
   std::vector<std::unique_ptr<SnoopingCache>> caches_;
   BusBroadcastCounter bus_;
   IdealDirectoryCounter ideal_;
   CoarseDirectoryCounter coarse_;
-  ListenerFanout fanout_;
+  Fanout fanout_;
+  std::optional<WriteBuffer> wb_;
 };
 
 }  // namespace rmrsim

@@ -75,25 +75,6 @@ class IdealDirectoryCounter final : public MessageCounter {
   std::string_view name() const override { return "ideal-directory"; }
 };
 
-/// Fans one event stream out to several counters, so one run can be priced
-/// under every protocol simultaneously (SharedMemory takes one listener).
-class ListenerFanout final : public CoherenceListener {
- public:
-  void add(CoherenceListener* listener) { listeners_.push_back(listener); }
-  void on_event(const CoherenceEvent& e) override {
-    for (CoherenceListener* l : listeners_) l->on_event(e);
-  }
-  void on_crash(ProcId p) override {
-    for (CoherenceListener* l : listeners_) l->on_crash(p);
-  }
-  void flush() override {
-    for (CoherenceListener* l : listeners_) l->flush();
-  }
-
- private:
-  std::vector<CoherenceListener*> listeners_;
-};
-
 /// Coarse directory: one sticky "maybe cached somewhere" bit per line. Any
 /// fetch sets the bit; a write with the bit set must broadcast invalidations
 /// to all other processors (it cannot tell who holds copies), then clears

@@ -268,30 +268,21 @@ void run_e4_workload(const SweepPoint& p, SharedMemory& mem,
 
 MetricsRegistry e4_runner(const SweepPoint& p) {
   MetricsRegistry reg;
-  const int n = p.n;
-  auto mem = make_cc(n);
-  BusBroadcastCounter bus;
-  IdealDirectoryCounter ideal;
-  CoarseDirectoryCounter coarse(n);
-  ListenerFanout fan;
-  fan.add(&bus);
-  fan.add(&ideal);
-  fan.add(&coarse);
-  mem->set_listener(&fan);
+  auto mem = make_cc(p.n);
+  ProtocolFleet fleet(p.n, {}, /*legacy_counters=*/true);
+  mem->set_listener(fleet.listener());
 
   run_e4_workload(p, *mem, reg);
 
-  publish_messages(reg, bus);
-  publish_messages(reg, ideal);
-  publish_messages(reg, coarse);
+  fleet.publish(reg);
   const double rmrs =
       std::max<double>(1.0, static_cast<double>(mem->ledger().total_rmrs()));
   reg.set("msgs.bus.per_rmr",
-          static_cast<double>(bus.total_messages()) / rmrs);
+          static_cast<double>(fleet.bus().total_messages()) / rmrs);
   reg.set("msgs.ideal.per_rmr",
-          static_cast<double>(ideal.total_messages()) / rmrs);
+          static_cast<double>(fleet.ideal().total_messages()) / rmrs);
   reg.set("msgs.coarse.per_rmr",
-          static_cast<double>(coarse.total_messages()) / rmrs);
+          static_cast<double>(fleet.coarse().total_messages()) / rmrs);
   return reg;
 }
 
@@ -306,21 +297,19 @@ MetricsRegistry e4_protocol_runner(const std::string& protocol,
                                    const SweepPoint& p) {
   MetricsRegistry reg;
   auto mem = make_cc(p.n);
-  auto cache = make_protocol(protocol, p.n);
-  ensure(cache != nullptr, "e4: unknown protocol '" + protocol + "'");
-  mem->set_listener(cache.get());
+  ProtocolFleet fleet(p.n, {protocol});
+  mem->set_listener(fleet.listener());
 
   run_e4_workload(p, *mem, reg);
 
-  publish_protocol(reg, *cache);
+  fleet.publish(reg);
+  const SnoopingCache& cache = *fleet.caches().front();
   const double rmrs =
       std::max<double>(1.0, static_cast<double>(mem->ledger().total_rmrs()));
   reg.set("msgs." + protocol + ".per_rmr",
-          static_cast<double>(cache->total_messages()) / rmrs);
+          static_cast<double>(cache.total_messages()) / rmrs);
   reg.set("cycles." + protocol + ".per_rmr",
-          static_cast<double>(cache->total_cycles()) / rmrs);
-  const auto violation = cache->check_invariants();
-  reg.set("protocol.invariants_ok", violation.has_value() ? 0.0 : 1.0);
+          static_cast<double>(cache.total_cycles()) / rmrs);
   return reg;
 }
 
@@ -433,18 +422,16 @@ SweepSpec e8_spec() {
   return s;
 }
 
-/// Fleet tallies for an E8 point: per-protocol cycle metrics, the
-/// amortized-per-process gauge the pins read, and the invariant verdict.
-void publish_e8_fleet(MetricsRegistry& reg, ProtocolFleet& fleet,
+/// Fleet tallies for an E8 point plus the amortized-per-process cycle
+/// gauge the pins read.
+void publish_e8_fleet(MetricsRegistry& reg, const ProtocolFleet& fleet,
                       int participants) {
+  fleet.publish(reg);
   for (const auto& c : fleet.caches()) {
-    publish_protocol(reg, *c);
     reg.set("cycles." + std::string(c->name()) + ".amortized",
             static_cast<double>(c->total_cycles()) /
                 std::max(1, participants));
   }
-  reg.set("protocol.invariants_ok",
-          fleet.check_invariants().has_value() ? 0.0 : 1.0);
 }
 
 MetricsRegistry e8_runner(const SweepPoint& p) {
@@ -452,7 +439,7 @@ MetricsRegistry e8_runner(const SweepPoint& p) {
   // priced, so the cost-model ablation (x axis: CC policy) carries a
   // per-protocol cycle ablation alongside it for free.
   if (p.algorithm == "flag") {
-    ProtocolFleet fleet(p.n + 1);  // waiters + the signaler
+    ProtocolFleet fleet(p.n + 1, protocol_names());  // waiters + signaler
     SignalingWorkloadOptions opt;
     opt.signaler_idle_polls = 64;
     opt.listener = fleet.listener();
@@ -462,7 +449,7 @@ MetricsRegistry e8_runner(const SweepPoint& p) {
     return reg;
   }
   if (p.algorithm == "tas") {
-    ProtocolFleet fleet(p.n);
+    ProtocolFleet fleet(p.n, protocol_names());
     MetricsRegistry reg =
         run_mutex_point(p.model, "tas", p.n, /*passages=*/3, fleet.listener());
     publish_e8_fleet(reg, fleet, p.n);

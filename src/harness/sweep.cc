@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <exception>
+#include <mutex>
 #include <thread>
 
 #include "common/check.h"
@@ -56,6 +58,10 @@ SweepResult run_sweep(const SweepSpec& spec, const PointRunner& runner,
 
   const auto start = std::chrono::steady_clock::now();
   std::atomic<std::size_t> cursor{0};
+  // A runner that throws stops the sweep: its worker parks the cursor past
+  // the end, and the first error caught is rethrown after the join.
+  std::mutex error_mu;
+  std::exception_ptr error;
   // Each worker claims the next unclaimed canonical index and writes its
   // result into that slot; no two workers touch the same slot and the
   // merged vector is index-ordered by construction, so the output is a
@@ -66,7 +72,14 @@ SweepResult run_sweep(const SweepSpec& spec, const PointRunner& runner,
       if (i >= total) return;
       SweepPointResult& slot = result.points[i];
       slot.point = spec.point_at(i);
-      slot.metrics = runner(slot.point);
+      try {
+        slot.metrics = runner(slot.point);
+      } catch (...) {
+        const std::lock_guard<std::mutex> lock(error_mu);
+        if (!error) error = std::current_exception();
+        cursor.store(total, std::memory_order_relaxed);
+        return;
+      }
     }
   };
   if (result.workers == 1) {
@@ -77,6 +90,7 @@ SweepResult run_sweep(const SweepSpec& spec, const PointRunner& runner,
     for (int w = 0; w < result.workers; ++w) pool.emplace_back(work);
     for (std::thread& t : pool) t.join();
   }
+  if (error) std::rethrow_exception(error);
   result.wall_ms = std::chrono::duration<double, std::milli>(
                        std::chrono::steady_clock::now() - start)
                        .count();

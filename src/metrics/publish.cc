@@ -3,9 +3,6 @@
 #include <array>
 #include <string>
 
-#include "coherence/cache_controller.h"
-#include "coherence/protocols.h"
-#include "coherence/write_buffer.h"
 #include "history/history.h"
 #include "memory/ledger.h"
 #include "runtime/simulation.h"
@@ -75,41 +72,6 @@ void publish_call_costs(MetricsRegistry& reg,
     reg.histogram_observe(base + ".rmrs_per_call", kRmrBounds,
                           static_cast<double>(c.rmrs));
   }
-}
-
-void publish_messages(MetricsRegistry& reg, const MessageCounter& counter) {
-  const std::string base = "msgs." + std::string(counter.name());
-  reg.add(base + ".transfers", counter.transfer_messages());
-  reg.add(base + ".invalidations", counter.invalidation_messages());
-  reg.add(base + ".useful", counter.useful_invalidations());
-  reg.add(base + ".superfluous", counter.superfluous_invalidations());
-  reg.add(base + ".updates", counter.update_messages());
-  reg.add(base + ".total", counter.total_messages());
-}
-
-void publish_protocol(MetricsRegistry& reg, const SnoopingCache& cache) {
-  publish_messages(reg, cache);
-  const ProtocolStats& s = cache.stats();
-  const std::string base = "cycles." + std::string(cache.name());
-  reg.add(base + ".total", s.cycles);
-  reg.add(base + ".hits", s.cache_hits);
-  reg.add(base + ".memory_fetches", s.memory_fetches);
-  reg.add(base + ".cache_transfers", s.cache_transfers);
-  reg.add(base + ".bus_signals", s.bus_signals);
-  reg.add(base + ".bus_updates", s.bus_updates);
-  reg.add(base + ".write_backs", s.write_backs);
-  for (ProcId p = 0; p < cache.nprocs(); ++p) {
-    const std::uint64_t cy = cache.proc_cycles(p);
-    if (cy == 0) continue;
-    reg.observe(base + ".proc_cycles", static_cast<double>(cy));
-  }
-}
-
-void publish_write_buffer(MetricsRegistry& reg, const WriteBuffer& wb) {
-  reg.add("wb.buffered", wb.buffered_writes());
-  reg.add("wb.coalesced", wb.coalesced_writes());
-  reg.add("wb.forwarded", wb.forwarded_reads());
-  reg.add("wb.drained", wb.drained_writes());
 }
 
 }  // namespace rmrsim

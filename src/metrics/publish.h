@@ -12,11 +12,10 @@
 //   history.crashes, history.recoveries
 //   calls.<name>.count / .completed / .rmrs / .mem_steps  (+ summaries and
 //     a per-call RMR histogram under calls.<name>.rmrs_per_call)
-//   msgs.<protocol>.transfers / .invalidations / .useful / .superfluous /
-//     .updates / .total
-//   cycles.<protocol>.total / .hits / .memory_fetches / .cache_transfers /
-//     .bus_signals / .bus_updates / .write_backs (+ a per-proc cycle
-//     summary under cycles.<protocol>.proc_cycles)
+//
+// Coherence tallies (msgs.<protocol>.*, cycles.<protocol>.*, wb.*) are
+// published by the stack that priced them: ProtocolFleet::publish in
+// coherence/fleet.h.
 #pragma once
 
 #include <vector>
@@ -28,9 +27,6 @@ namespace rmrsim {
 class RmrLedger;
 class History;
 class Simulation;
-class MessageCounter;
-class SnoopingCache;
-class WriteBuffer;
 struct CallCost;
 
 /// ledger.* totals plus a per-process RMR summary (ledger.proc_rmrs).
@@ -48,16 +44,5 @@ void publish_simulation(MetricsRegistry& reg, const Simulation& sim);
 /// histogram of RMRs per call (bounds 0,1,2,4,8,16,32,64).
 void publish_call_costs(MetricsRegistry& reg,
                         const std::vector<CallCost>& costs);
-
-/// msgs.<counter-name>.* tallies from a coherence message counter.
-void publish_messages(MetricsRegistry& reg, const MessageCounter& counter);
-
-/// cycles.<protocol>.* cost-model tallies from a protocol state machine
-/// (implies publish_messages for its msgs.* side).
-void publish_protocol(MetricsRegistry& reg, const SnoopingCache& cache);
-
-/// wb.buffered / wb.coalesced / wb.forwarded / wb.drained tallies from a
-/// store-buffer front end (call after flush() so drains are complete).
-void publish_write_buffer(MetricsRegistry& reg, const WriteBuffer& wb);
 
 }  // namespace rmrsim

@@ -1,26 +1,16 @@
 #include "workload/replay.h"
 
 #include <algorithm>
-#include <memory>
 #include <unordered_map>
-#include <utility>
 
 #include "coherence/fleet.h"
-#include "coherence/protocols.h"
-#include "coherence/write_buffer.h"
 #include "common/check.h"
 #include "memory/shared_memory.h"
 #include "metrics/publish.h"
-#include "runtime/simulation.h"
-#include "sched/schedulers.h"
 
 namespace rmrsim {
 
 namespace {
-
-ProcTask replay_program(ProcCtx& ctx, const std::vector<MemOp>* ops) {
-  for (const MemOp& op : *ops) (void)co_await ctx.apply(op);
-}
 
 ProcId home_for(const AddrMapSpec& map, std::uint64_t addr, ProcId toucher,
                 int nprocs) {
@@ -74,17 +64,15 @@ MetricsRegistry replay_trace_core(const Trace& trace, SharedMemory& mem,
   }
   std::unordered_map<std::uint64_t, VarId> vars;
   vars.reserve(1024);
-  std::vector<std::vector<MemOp>> per_proc(trace.nprocs);
-  std::vector<ProcId> script;
-  script.reserve(trace.ops.size());
+  std::vector<bool> issued(trace.nprocs, false);
   std::uint64_t fences = 0;
   for (const TraceOp& t : trace.ops) {
     ensure(t.proc >= 0 && t.proc < trace.nprocs,
            "replay: trace op proc out of range");
-    script.push_back(t.proc);
+    issued[t.proc] = true;
     if (t.kind == TraceOpKind::kFence) {
       ++fences;
-      per_proc[t.proc].push_back(MemOp::faa(fence[t.proc], 0));
+      mem.apply(t.proc, MemOp::faa(fence[t.proc], 0));
       continue;
     }
     auto [it, inserted] = vars.try_emplace(t.addr, kNoVar);
@@ -92,26 +80,25 @@ MetricsRegistry replay_trace_core(const Trace& trace, SharedMemory& mem,
       it->second = mem.allocate(
           0, home_for(addr_map, t.addr, t.proc, trace.nprocs));
     }
-    per_proc[t.proc].push_back(to_mem_op(t, it->second));
+    mem.apply(t.proc, to_mem_op(t, it->second));
   }
 
-  std::vector<Program> programs;
-  programs.reserve(trace.nprocs);
-  for (int p = 0; p < trace.nprocs; ++p) {
-    const std::vector<MemOp>* ops = &per_proc[p];
-    programs.emplace_back(
-        [ops](ProcCtx& ctx) { return replay_program(ctx, ops); });
-  }
-  Simulation sim(mem, std::move(programs));
-  sim.set_history_mode(HistoryMode::kCountersOnly);
-  ScriptedScheduler sched(std::move(script));
-  const Simulation::RunResult run = sim.run(sched, trace.ops.size() + 1);
-  ensure(run.steps == trace.ops.size() && run.all_terminated,
-         "replay: trace did not run to completion");
-
+  // What a simulator run of the trace reports: every op is one step and
+  // one clock tick, every processor that issues an op runs to completion,
+  // and nothing crashes.
+  const auto ops = static_cast<std::uint64_t>(trace.ops.size());
+  const auto issuers = static_cast<std::uint64_t>(
+      std::count(issued.begin(), issued.end(), true));
   MetricsRegistry reg;
-  publish_simulation(reg, sim);
-  reg.set("trace.ops", static_cast<double>(trace.ops.size()));
+  publish_ledger(reg, mem.ledger());
+  reg.add("history.steps", ops);
+  reg.add("history.participants", issuers);
+  reg.add("history.finished", issuers);
+  reg.add("history.crashes", 0);
+  reg.add("history.recoveries", 0);
+  reg.add("sim.schedule_entries", ops);
+  reg.add("sim.clock", ops);
+  reg.set("trace.ops", static_cast<double>(ops));
   reg.set("trace.procs", static_cast<double>(trace.nprocs));
   reg.set("trace.vars", static_cast<double>(vars.size()));
   reg.set("trace.fences", static_cast<double>(fences));
@@ -124,65 +111,24 @@ MetricsRegistry replay_trace_core(const Trace& trace, SharedMemory& mem,
 
 MetricsRegistry replay_trace(const Trace& trace, SharedMemory& mem,
                              const ReplayOptions& opts) {
-  std::vector<std::unique_ptr<SnoopingCache>> caches;
-  ListenerFanout fanout;
-  for (const std::string& name : opts.protocols) {
-    auto cache = make_protocol(name, trace.nprocs, opts.costs);
-    ensure(cache != nullptr, "replay: unknown protocol '" + name +
-                                 "' (want mesi|mesif|moesi|dragon)");
-    fanout.add(cache.get());
-    caches.push_back(std::move(cache));
-  }
-  BusBroadcastCounter bus;
-  IdealDirectoryCounter ideal;
-  CoarseDirectoryCounter coarse(trace.nprocs);
-  if (opts.legacy_counters) {
-    fanout.add(&bus);
-    fanout.add(&ideal);
-    fanout.add(&coarse);
-  }
-  std::unique_ptr<WriteBuffer> wb;
-  const bool any_listener = !caches.empty() || opts.legacy_counters;
-  if (any_listener && opts.write_buffer > 0) {
-    wb = std::make_unique<WriteBuffer>(&fanout, trace.nprocs,
-                                       opts.write_buffer);
-  }
-  if (any_listener) {
-    mem.set_listener(wb != nullptr ? static_cast<CoherenceListener*>(wb.get())
-                                   : &fanout);
-  }
-
+  ProtocolFleet fleet(trace.nprocs, opts.protocols, opts.legacy_counters,
+                      opts.write_buffer, opts.costs);
+  mem.set_listener(fleet.listener());
   MetricsRegistry reg = replay_trace_core(trace, mem, opts.addr_map);
+  fleet.flush();
+  mem.set_listener(nullptr);
 
-  if (any_listener) {
-    mem.listener()->flush();
-    mem.set_listener(nullptr);
-  }
+  fleet.publish(reg);
   const double ops =
       std::max<double>(1.0, static_cast<double>(trace.ops.size()));
-  bool invariants_ok = true;
-  for (const auto& cache : caches) {
-    publish_protocol(reg, *cache);
-    const std::string name(cache->name());
-    reg.set("msgs." + name + ".per_op",
-            static_cast<double>(cache->total_messages()) / ops);
-    reg.set("cycles." + name + ".per_op",
+  for (const MessageCounter* c : fleet.counters()) {
+    reg.set("msgs." + std::string(c->name()) + ".per_op",
+            static_cast<double>(c->total_messages()) / ops);
+  }
+  for (const auto& cache : fleet.caches()) {
+    reg.set("cycles." + std::string(cache->name()) + ".per_op",
             static_cast<double>(cache->total_cycles()) / ops);
-    if (cache->check_invariants().has_value()) invariants_ok = false;
   }
-  if (!caches.empty()) {
-    reg.set("protocol.invariants_ok", invariants_ok ? 1.0 : 0.0);
-  }
-  if (opts.legacy_counters) {
-    for (const MessageCounter* c : {static_cast<MessageCounter*>(&bus),
-                                    static_cast<MessageCounter*>(&ideal),
-                                    static_cast<MessageCounter*>(&coarse)}) {
-      publish_messages(reg, *c);
-      reg.set("msgs." + std::string(c->name()) + ".per_op",
-              static_cast<double>(c->total_messages()) / ops);
-    }
-  }
-  if (wb != nullptr) publish_write_buffer(reg, *wb);
   return reg;
 }
 

@@ -1,14 +1,14 @@
-// Trace replay: a parsed or generated trace driven through the simulator.
+// Trace replay: a parsed or generated trace priced op by op.
 //
-// The trace's global op order becomes the schedule (ScriptedScheduler) and
-// its per-processor subsequences become coroutine programs, so a replay is
-// an ordinary Simulation run: every op is priced by whatever cost model
-// the SharedMemory carries (DSM or any CC policy), the RMR ledger
-// accumulates as usual, and any attached CoherenceListener — a single
-// protocol, the whole ProtocolFleet, a write buffer in front of either —
-// sees the exact event stream. History runs in counters-only mode, so
-// million-op traces cost memory proportional to the processor count, not
-// the op count.
+// An RMR depends only on the op sequence, not on how processes are
+// scheduled, so a replay is one pass over the trace in its global order:
+// each op allocates its variable on first touch (homed by the AddrMapSpec
+// policy) and goes through SharedMemory::apply. Every op is priced by
+// whatever cost model the SharedMemory carries (DSM or any CC policy), the
+// RMR ledger accumulates as usual, and any attached CoherenceListener — the
+// ProtocolFleet with any protocols, legacy counters and write buffer —
+// sees the exact event stream. Memory is proportional to the variables and
+// processors, never to the op count.
 //
 // FENCE ops are replayed as a 0-valued FAA on a per-processor variable
 // homed at that processor: local under DSM, cache-resident under CC, and
@@ -28,7 +28,6 @@
 namespace rmrsim {
 
 class SharedMemory;
-class CoherenceListener;
 
 struct ReplayOptions {
   AddrMapSpec addr_map{};
@@ -41,22 +40,23 @@ struct ReplayOptions {
   CycleCosts costs{};
 };
 
-/// Low-level replay: drives `trace` through `mem` exactly as configured by
-/// the caller — any listener already attached to `mem` stays attached and
-/// sees the event stream (the caller owns attaching and flushing it).
-/// `mem` must be freshly constructed for trace.nprocs processors with no
-/// variables allocated. Publishes the simulation (ledger.*, history.*,
-/// sim.*) plus the trace.* gauges and rmrs.per_op; throws if the replay
-/// fails to run every op to completion.
+/// Low-level replay: applies `trace` to `mem` exactly as configured by the
+/// caller — any listener already attached to `mem` stays attached and sees
+/// the event stream (the caller owns attaching and flushing it). `mem` must
+/// be freshly constructed for trace.nprocs processors with no variables
+/// allocated. Publishes ledger.*, the history.* and sim.* counts a
+/// simulator run of the trace would report (one step and one clock tick
+/// per op; participants and finished = processors that issue an op; no
+/// crashes), the trace.* gauges and rmrs.per_op.
 MetricsRegistry replay_trace_core(const Trace& trace, SharedMemory& mem,
                                   const AddrMapSpec& addr_map = {});
 
-/// Full replay: builds the protocol rig requested by `opts` (state
+/// Full replay: builds the ProtocolFleet requested by `opts` (state
 /// machines, optional legacy counters, optional write buffer), attaches
-/// it, replays, flushes, and publishes everything — the core metrics plus
-/// msgs.<proto>.* / cycles.<proto>.* with per-op gauges, wb.* when
-/// buffered, and protocol.invariants_ok (1.0 iff every state machine's
-/// invariants held). Throws on unknown protocol names.
+/// it, replays, flushes, and publishes the core metrics, the fleet's
+/// metrics (ProtocolFleet::publish) and msgs.<name>.per_op /
+/// cycles.<proto>.per_op gauges. Throws on unknown protocol names and on a
+/// write buffer with no protocol or legacy counter behind it.
 MetricsRegistry replay_trace(const Trace& trace, SharedMemory& mem,
                              const ReplayOptions& opts = {});
 

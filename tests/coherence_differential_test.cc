@@ -45,7 +45,10 @@ struct World {
   ProtocolFleet fleet;
   std::vector<VarId> vars;
 
-  World(int nprocs, int nvars) : mem(make_cc(nprocs)), fleet(nprocs) {
+  World(int nprocs, int nvars, int write_buffer = 0)
+      : mem(make_cc(nprocs)),
+        fleet(nprocs, protocol_names(), /*legacy_counters=*/true,
+              write_buffer) {
     mem->set_listener(fleet.listener());
     for (int i = 0; i < nvars; ++i) vars.push_back(mem->allocate_global(0));
   }
@@ -109,10 +112,10 @@ void expect_cycle_arithmetic(const SnoopingCache& c) {
 
 void expect_relations(World& w, bool crashed) {
   ProtocolFleet& f = w.fleet;
-  SnoopingCache& mesi = f.mesi();
-  SnoopingCache& mesif = f.mesif();
-  SnoopingCache& moesi = f.moesi();
-  SnoopingCache& dragon = f.dragon();
+  SnoopingCache& mesi = *f.cache("mesi");
+  SnoopingCache& mesif = *f.cache("mesif");
+  SnoopingCache& moesi = *f.cache("moesi");
+  SnoopingCache& dragon = *f.cache("dragon");
 
   // (a) Broadcast bus at par with RMRs.
   EXPECT_EQ(f.bus().transfer_messages(), w.mem->ledger().total_rmrs());
@@ -389,9 +392,8 @@ TEST(WriteBufferTest, CrashDrainsThenPowersDown) {
 // coalesced stores and forwarded reads.
 TEST(WriteBufferTest, FleetBehindBufferConservesEventsAndInvariants) {
   const int n = 4;
-  World w(n, /*nvars=*/3);
-  WriteBuffer wb(w.fleet.listener(), n, /*capacity=*/4);
-  w.mem->set_listener(&wb);
+  World w(n, /*nvars=*/3, /*write_buffer=*/4);
+  const WriteBuffer& wb = *w.fleet.write_buffer();
 
   SplitMix64 rng(7);
   std::uint64_t applied = 0;
@@ -405,7 +407,7 @@ TEST(WriteBufferTest, FleetBehindBufferConservesEventsAndInvariants) {
     }
     ++applied;
   }
-  wb.flush();
+  w.fleet.flush();
   EXPECT_EQ(wb.drained_writes(), wb.buffered_writes());
   ASSERT_EQ(w.fleet.check_invariants(), std::nullopt);
 

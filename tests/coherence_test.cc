@@ -4,7 +4,7 @@
 // directory broadcasts blindly (messages can exceed RMRs asymptotically).
 #include <gtest/gtest.h>
 
-#include "coherence/protocols.h"
+#include "coherence/fleet.h"
 #include "memory/cc_model.h"
 #include "memory/shared_memory.h"
 #include "sched/schedulers.h"
@@ -13,62 +13,49 @@
 namespace rmrsim {
 namespace {
 
-struct Counters {
-  BusBroadcastCounter bus;
-  IdealDirectoryCounter ideal;
-  CoarseDirectoryCounter coarse;
-  ListenerFanout fan;
-
-  explicit Counters(int nprocs) : coarse(nprocs) {
-    fan.add(&bus);
-    fan.add(&ideal);
-    fan.add(&coarse);
-  }
-};
-
 TEST(Coherence, BusMessagesEqualRmrs) {
   const int n = 8;
   auto mem = make_cc(n);
-  Counters c(n);
-  mem->set_listener(&c.fan);
+  ProtocolFleet c(n, {}, /*legacy_counters=*/true);
+  mem->set_listener(c.listener());
   const VarId v = mem->allocate_global(0);
   for (int round = 0; round < 5; ++round) {
     for (ProcId p = 0; p < n; ++p) mem->apply(p, MemOp::read(v));
     mem->apply(0, MemOp::write(v, round));
   }
-  EXPECT_EQ(c.bus.transfer_messages(), mem->ledger().total_rmrs());
+  EXPECT_EQ(c.bus().transfer_messages(), mem->ledger().total_rmrs());
 }
 
 TEST(Coherence, IdealDirectoryInvalidatesOnlyRealCopies) {
   const int n = 8;
   auto mem = make_cc(n);
-  Counters c(n);
-  mem->set_listener(&c.fan);
+  ProtocolFleet c(n, {}, /*legacy_counters=*/true);
+  mem->set_listener(c.listener());
   const VarId v = mem->allocate_global(0);
   // 3 readers cache v, then p0 writes: exactly 3 remote copies existed
   // (readers) — p0 had no copy, so 3 useful invalidations, 0 superfluous.
   for (ProcId p = 1; p <= 3; ++p) mem->apply(p, MemOp::read(v));
   mem->apply(0, MemOp::write(v, 1));
-  EXPECT_EQ(c.ideal.invalidation_messages(), 3u);
-  EXPECT_EQ(c.ideal.superfluous_invalidations(), 0u);
+  EXPECT_EQ(c.ideal().invalidation_messages(), 3u);
+  EXPECT_EQ(c.ideal().superfluous_invalidations(), 0u);
 }
 
 TEST(Coherence, CoarseDirectoryBroadcastsBlindly) {
   const int n = 16;
   auto mem = make_cc(n);
-  Counters c(n);
-  mem->set_listener(&c.fan);
+  ProtocolFleet c(n, {}, /*legacy_counters=*/true);
+  mem->set_listener(c.listener());
   const VarId v = mem->allocate_global(0);
   // One reader caches v, then p0 writes. The coarse directory only knows
   // "someone may hold it" and blasts all N-1 others.
   mem->apply(1, MemOp::read(v));
   mem->apply(0, MemOp::write(v, 1));
-  EXPECT_EQ(c.coarse.invalidation_messages(), static_cast<std::uint64_t>(n - 1));
-  EXPECT_EQ(c.coarse.useful_invalidations(), 1u);
-  EXPECT_EQ(c.coarse.superfluous_invalidations(),
+  EXPECT_EQ(c.coarse().invalidation_messages(), static_cast<std::uint64_t>(n - 1));
+  EXPECT_EQ(c.coarse().useful_invalidations(), 1u);
+  EXPECT_EQ(c.coarse().superfluous_invalidations(),
             static_cast<std::uint64_t>(n - 2));
   // The ideal directory sent exactly one.
-  EXPECT_EQ(c.ideal.invalidation_messages(), 1u);
+  EXPECT_EQ(c.ideal().invalidation_messages(), 1u);
 }
 
 TEST(Coherence, InvalidationsBoundedByRmrsUnderIdealDirectory) {
@@ -76,8 +63,8 @@ TEST(Coherence, InvalidationsBoundedByRmrsUnderIdealDirectory) {
   // and creating it took an RMR, so (ideal-directory) invalidations <= RMRs.
   const int n = 8;
   auto mem = make_cc(n);
-  Counters c(n);
-  mem->set_listener(&c.fan);
+  ProtocolFleet c(n, {}, /*legacy_counters=*/true);
+  mem->set_listener(c.listener());
   const VarId a = mem->allocate_global(0);
   const VarId b = mem->allocate_global(0);
   SplitMix64 rng(2024);
@@ -90,7 +77,7 @@ TEST(Coherence, InvalidationsBoundedByRmrsUnderIdealDirectory) {
       mem->apply(p, MemOp::read(v));
     }
   }
-  EXPECT_LE(c.ideal.useful_invalidations(), mem->ledger().total_rmrs());
+  EXPECT_LE(c.ideal().useful_invalidations(), mem->ledger().total_rmrs());
 }
 
 TEST(Coherence, SignalingWorkloadMessageExchangeRate) {
@@ -102,8 +89,8 @@ TEST(Coherence, SignalingWorkloadMessageExchangeRate) {
   const int n_idle = 12;  // processors that never cache the flag
   const int nprocs = n_waiters + n_idle + 1;
   auto mem = make_cc(nprocs);
-  Counters c(nprocs);
-  mem->set_listener(&c.fan);
+  ProtocolFleet c(nprocs, {}, /*legacy_counters=*/true);
+  mem->set_listener(c.listener());
   CcFlagSignal alg(*mem);
   std::vector<Program> programs;
   for (int i = 0; i < n_waiters; ++i) {
@@ -117,13 +104,13 @@ TEST(Coherence, SignalingWorkloadMessageExchangeRate) {
   ASSERT_TRUE(sim.run(rr, 10'000'000).all_terminated);
 
   // Bus: messages == RMRs ("at par").
-  EXPECT_EQ(c.bus.transfer_messages(), mem->ledger().total_rmrs());
+  EXPECT_EQ(c.bus().transfer_messages(), mem->ledger().total_rmrs());
   // Coarse directory: the one flag write invalidated all N-1 caches.
-  EXPECT_GE(c.coarse.invalidation_messages(),
+  EXPECT_GE(c.coarse().invalidation_messages(),
             static_cast<std::uint64_t>(nprocs - 1));
-  EXPECT_GT(c.coarse.superfluous_invalidations(), 0u);
+  EXPECT_GT(c.coarse().superfluous_invalidations(), 0u);
   // Ideal directory: one invalidation per waiter copy that actually existed.
-  EXPECT_LE(c.ideal.invalidation_messages(),
+  EXPECT_LE(c.ideal().invalidation_messages(),
             static_cast<std::uint64_t>(n_waiters + 1));
 }
 
@@ -133,15 +120,15 @@ TEST(Coherence, DsmHasNoRealInvalidationTraffic) {
   // communication" (Section 8) — transfers only.
   const int n = 4;
   auto mem = make_dsm(n);
-  Counters c(n);
-  mem->set_listener(&c.fan);
+  ProtocolFleet c(n, {}, /*legacy_counters=*/true);
+  mem->set_listener(c.listener());
   const VarId v = mem->allocate_global(0);
   for (ProcId p = 0; p < n; ++p) {
     mem->apply(p, MemOp::write(v, p));
     mem->apply(p, MemOp::read(v));
   }
-  EXPECT_EQ(c.bus.transfer_messages(), mem->ledger().total_rmrs());
-  EXPECT_EQ(c.ideal.invalidation_messages(), 0u);  // no copies ever exist
+  EXPECT_EQ(c.bus().transfer_messages(), mem->ledger().total_rmrs());
+  EXPECT_EQ(c.ideal().invalidation_messages(), 0u);  // no copies ever exist
 }
 
 }  // namespace

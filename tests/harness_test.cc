@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "coherence/fleet.h"
+#include "common/check.h"
 #include "common/fsio.h"
 #include "harness/artifact.h"
 #include "harness/drive.h"
@@ -205,6 +206,21 @@ TEST(Sweep, ParallelMergeIsByteIdenticalAcrossWorkerCounts) {
     } else {
       EXPECT_EQ(json, serial_json) << "workers=" << workers;
     }
+  }
+}
+
+TEST(Sweep, RunnerErrorReachesTheCallerAtAnyWorkerCount) {
+  const SweepSpec s = two_by_everything_spec();
+  for (const int workers : {1, 4}) {
+    EXPECT_THROW(run_sweep(
+                     s,
+                     [](const SweepPoint& p) {
+                       if (p.index == 3) fail("point 3 failed");
+                       return synthetic_runner(p);
+                     },
+                     workers),
+                 std::logic_error)
+        << "workers=" << workers;
   }
 }
 

@@ -14,7 +14,6 @@
 #include <vector>
 
 #include "coherence/fleet.h"
-#include "coherence/write_buffer.h"
 #include "memory/shared_memory.h"
 #include "metrics/publish.h"
 #include "metrics/registry.h"
@@ -534,19 +533,28 @@ TEST(ReplayOracle, FleetAndWriteBufferSeeTheSimulatorsEventStream) {
   g.ops = 4000;
   const Trace t = generate_trace(g);
   auto priced = [&t](bool direct) {
-    ProtocolFleet fleet(t.nprocs);
-    WriteBuffer wb(fleet.listener(), t.nprocs, 4);
+    ProtocolFleet fleet(t.nprocs, protocol_names(), /*legacy_counters=*/true,
+                        /*write_buffer=*/4);
     auto mem = make_cc(t.nprocs);
-    mem->set_listener(&wb);
+    mem->set_listener(fleet.listener());
     MetricsRegistry reg =
         direct ? replay_trace_core(t, *mem) : reference_replay(t, *mem);
-    wb.flush();
-    for (const auto& cache : fleet.caches()) publish_protocol(reg, *cache);
-    for (MessageCounter* c : fleet.counters()) publish_messages(reg, *c);
-    publish_write_buffer(reg, wb);
+    fleet.flush();
+    fleet.publish(reg);
     return reg.to_json();
   };
   EXPECT_EQ(priced(true), priced(false));
+}
+
+TEST(Replay, WriteBufferWithNothingBehindItRejected) {
+  const Trace t = small_trace();
+  auto mem = make_cc(t.nprocs);
+  ReplayOptions opts;
+  opts.write_buffer = 4;
+  EXPECT_TRUE(contains(error_of([&] { replay_trace(t, *mem, opts); }),
+                       "write buffer has nothing behind it"));
+  opts.legacy_counters = true;
+  EXPECT_EQ(replay_trace(t, *mem, opts).value("wb.buffered"), 1.0);
 }
 
 // ---- cycle-cost override ----------------------------------------------
@@ -600,24 +608,17 @@ TEST(FleetReset, ReplayAfterResetIsByteIdentical) {
   g.ops = 5000;
   const Trace t = generate_trace(g);
 
-  ProtocolFleet fleet(t.nprocs);
-  WriteBuffer wb(fleet.listener(), t.nprocs, 4);
+  ProtocolFleet fleet(t.nprocs, protocol_names(), /*legacy_counters=*/true,
+                      /*write_buffer=*/4);
 
   auto run_once = [&] {
     auto mem = make_cc(t.nprocs);
-    mem->set_listener(&wb);
+    mem->set_listener(fleet.listener());
     MetricsRegistry reg = replay_trace_core(t, *mem);
-    mem->listener()->flush();
+    fleet.flush();
     mem->set_listener(nullptr);
-    for (const auto& cache : fleet.caches()) publish_protocol(reg, *cache);
-    for (const MessageCounter* c :
-         {static_cast<const MessageCounter*>(&fleet.bus()),
-          static_cast<const MessageCounter*>(&fleet.ideal()),
-          static_cast<const MessageCounter*>(&fleet.coarse())}) {
-      publish_messages(reg, *c);
-    }
-    publish_write_buffer(reg, wb);
-    EXPECT_FALSE(fleet.check_invariants().has_value());
+    fleet.publish(reg);
+    EXPECT_EQ(reg.value("protocol.invariants_ok"), 1.0);
     return reg.to_json();
   };
 
@@ -625,10 +626,9 @@ TEST(FleetReset, ReplayAfterResetIsByteIdentical) {
   // Without a reset the second pass accumulates on top of the first.
   const std::string dirty = run_once();
   EXPECT_NE(first, dirty);
-  // reset() must scrub BOTH the fleet and the write buffer in front of it;
-  // after that, the same seeded trace produces the same bytes.
+  // reset() must scrub BOTH the members and the write buffer in front of
+  // them; after that, the same seeded trace produces the same bytes.
   fleet.reset();
-  wb.reset();
   EXPECT_EQ(run_once(), first);
 }
 

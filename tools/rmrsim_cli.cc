@@ -28,7 +28,6 @@
 #include <string>
 
 #include "coherence/fleet.h"
-#include "coherence/write_buffer.h"
 #include "common/check.h"
 #include "common/crc32.h"
 #include "common/fsio.h"
@@ -125,69 +124,40 @@ SignalingFactory make_signal_alg(const std::string& name, int fixed_home) {
   return make_signal_factory_by_name(name, fixed_home);
 }
 
-// --protocols [all|name,name,...] [--write-buffer N]: ride the run with
-// snooping-protocol state machines (optionally behind a store buffer) and
-// print their message/cycle tallies afterwards.
-struct ProtocolRig {
-  std::vector<std::unique_ptr<SnoopingCache>> caches;
-  ListenerFanout fanout;
-  std::unique_ptr<WriteBuffer> wb;
-
-  bool active() const { return !caches.empty(); }
-  CoherenceListener* listener() {
-    if (!active()) return nullptr;
-    return wb != nullptr ? static_cast<CoherenceListener*>(wb.get())
-                         : &fanout;
-  }
-};
-
-/// Expands a --protocols spec ("all" or a comma list) into protocol
-/// names, validating each against the fleet catalog.
-std::vector<std::string> parse_protocol_names(const std::string& spec) {
+/// The --protocols list: "all" (or the bare flag) or a comma list of
+/// names; the fleet rejects unknown ones.
+std::vector<std::string> protocols_arg(const Args& a) {
+  const std::string spec =
+      a.get("protocols", a.has("protocols") ? "all" : "");
+  if (spec == "all") return protocol_names();
   std::vector<std::string> names;
-  if (spec == "all") {
-    names = protocol_names();
-  } else {
-    std::stringstream ss(spec);
-    std::string tok;
-    while (std::getline(ss, tok, ',')) {
-      if (!tok.empty()) names.push_back(tok);
-    }
-  }
-  for (const std::string& name : names) {
-    ensure(make_protocol(name, 1) != nullptr,
-           "--protocols: unknown protocol '" + name +
-               "' (want mesi|mesif|moesi|dragon|all)");
+  std::stringstream ss(spec);
+  std::string tok;
+  while (std::getline(ss, tok, ',')) {
+    if (!tok.empty()) names.push_back(tok);
   }
   return names;
 }
 
-ProtocolRig make_protocol_rig(const Args& a, int nprocs) {
-  ProtocolRig rig;
-  std::string spec = a.get("protocols", a.has("protocols") ? "all" : "");
-  if (spec.empty()) return rig;
-  const CycleCosts costs = parse_cycle_costs(a.get("cycle-cost", ""));
-  for (const std::string& name : parse_protocol_names(spec)) {
-    auto cache = make_protocol(name, nprocs, costs);
-    rig.fanout.add(cache.get());
-    rig.caches.push_back(std::move(cache));
-  }
-  const long wb = a.get_int("write-buffer", 0, 0, kIntMax);
-  if (wb > 0) {
-    rig.wb = std::make_unique<WriteBuffer>(&rig.fanout, nprocs,
-                                           static_cast<int>(wb));
-  }
-  return rig;
+// --protocols [all|name,name,...] [--write-buffer N] [--cycle-cost ...]:
+// ride the run with snooping-protocol state machines (optionally behind a
+// store buffer) and print their message/cycle tallies afterwards.
+ProtocolFleet make_protocol_fleet(const Args& a, int nprocs) {
+  return ProtocolFleet(
+      nprocs, protocols_arg(a), /*legacy_counters=*/false,
+      static_cast<int>(a.get_int("write-buffer", 0, 0, kIntMax)),
+      parse_cycle_costs(a.get("cycle-cost", "")));
 }
 
-/// Prints the rig's tallies; returns false if any protocol's invariants
+/// Prints the fleet's tallies; returns false if any protocol's invariants
 /// are violated (callers fold that into the exit code).
-bool print_protocol_rig(const ProtocolRig& rig) {
+bool print_protocol_fleet(const ProtocolFleet& fleet) {
+  if (fleet.caches().empty()) return true;
   bool ok = true;
   TextTable t;
   t.set_header({"protocol", "transfers", "invalidations", "updates",
                 "total msgs", "cycles", "invariants"});
-  for (const auto& c : rig.caches) {
+  for (const auto& c : fleet.caches()) {
     const auto violation = c->check_invariants();
     if (violation) ok = false;
     t.add_row({std::string(c->name()),
@@ -199,12 +169,12 @@ bool print_protocol_rig(const ProtocolRig& rig) {
                violation ? "VIOLATED: " + *violation : "ok"});
   }
   std::fputs(t.render().c_str(), stdout);
-  if (rig.wb != nullptr) {
+  if (const WriteBuffer* wb = fleet.write_buffer()) {
     std::printf(
         "write buffer: %llu buffered, %llu coalesced, %llu reads forwarded\n",
-        static_cast<unsigned long long>(rig.wb->buffered_writes()),
-        static_cast<unsigned long long>(rig.wb->coalesced_writes()),
-        static_cast<unsigned long long>(rig.wb->forwarded_reads()));
+        static_cast<unsigned long long>(wb->buffered_writes()),
+        static_cast<unsigned long long>(wb->coalesced_writes()),
+        static_cast<unsigned long long>(wb->forwarded_reads()));
   }
   return ok;
 }
@@ -221,8 +191,8 @@ int cmd_signal(const Args& a) {
       static_cast<std::uint64_t>(a.get_int("seed", 0, 0, kLongMax));
   opt.blocking = a.has("blocking");
   if (opt.blocking) opt.signaler_idle_polls = 0;
-  ProtocolRig rig = make_protocol_rig(a, nprocs);
-  opt.listener = rig.listener();
+  ProtocolFleet fleet = make_protocol_fleet(a, nprocs);
+  opt.listener = fleet.listener();
   auto run =
       run_signaling_workload(make_model(a.get("model", "dsm"), nprocs),
                              make_signal_alg(alg_name, nprocs - 1), opt);
@@ -258,8 +228,7 @@ int cmd_signal(const Args& a) {
                              : check_polling_spec(run.sim->history());
   t.add_row({"spec", violation ? "VIOLATED: " + violation->what : "ok"});
   std::fputs(t.render().c_str(), stdout);
-  bool protocols_ok = true;
-  if (rig.active()) protocols_ok = print_protocol_rig(rig);
+  const bool protocols_ok = print_protocol_fleet(fleet);
   return violation || !protocols_ok ? 1 : 0;
 }
 
@@ -275,8 +244,8 @@ int cmd_mutex(const Args& a) {
   // long we spin before reporting "completed NO".
   opt.max_steps = static_cast<std::uint64_t>(
       a.get_int("max-steps", 500'000'000, 0, kLongMax));
-  ProtocolRig rig = make_protocol_rig(a, opt.nprocs);
-  opt.listener = rig.listener();
+  ProtocolFleet fleet = make_protocol_fleet(a, opt.nprocs);
+  opt.listener = fleet.listener();
   const MutexRunOutcome o = run_mutex_workload(opt);
   std::printf("lock %s, model %s, %d procs x %d passages\n",
               o.world.lock->name().data(), o.world.mem->model().name().data(),
@@ -298,8 +267,7 @@ int cmd_mutex(const Args& a) {
                std::to_string(rep.fifo_inversions)});
   }
   std::fputs(t.render().c_str(), stdout);
-  bool protocols_ok = true;
-  if (rig.active()) protocols_ok = print_protocol_rig(rig);
+  const bool protocols_ok = print_protocol_fleet(fleet);
   return o.violation || !o.completed || !protocols_ok ? 1 : 0;
 }
 
@@ -421,9 +389,7 @@ int cmd_trace(const Args& a) {
   opts.write_buffer =
       static_cast<int>(a.get_int("write-buffer", 0, 0, kIntMax));
   opts.legacy_counters = a.has("legacy-counters");
-  const std::string pspec =
-      a.get("protocols", a.has("protocols") ? "all" : "");
-  if (!pspec.empty()) opts.protocols = parse_protocol_names(pspec);
+  opts.protocols = protocols_arg(a);
 
   const std::string mspec = a.get("models", "all");
   std::vector<std::string> models;
