@@ -235,7 +235,7 @@ int cmd_signal(const Args& a) {
 int cmd_mutex(const Args& a) {
   MutexRunOptions opt;
   opt.nprocs = static_cast<int>(a.get_int("procs", 8, 1, kIntMax));
-  opt.passages = static_cast<int>(a.get_int("passages", 3, 0, kIntMax));
+  opt.passages = static_cast<int>(a.get_int("passages", 3, 1, kIntMax));
   opt.model = a.get("model", "dsm");
   opt.make_lock = lock_factory_by_name(a.get("lock", "mcs"));
   opt.seed = static_cast<std::uint64_t>(a.get_int("seed", 0, 0, kLongMax));
@@ -292,8 +292,11 @@ int cmd_sweep(const Args& a) {
   }
   const int workers = static_cast<int>(a.get_int("workers", 1, 1, kIntMax));
   const int max_n = static_cast<int>(a.get_int("max-n", 0, 0, kIntMax));
-  // Read the golden file before the sweep runs, not after: a typo'd path
-  // should fail in milliseconds, not after minutes of measurement.
+  // Create --out and read the golden file before the sweep runs, not
+  // after: a bad path should fail in milliseconds, not after minutes of
+  // measurement.
+  const std::string out_dir = a.get("out", ".");
+  ensure_dir(out_dir);
   const std::string golden_path = a.get("golden", "");
   std::string golden_bytes;
   if (!golden_path.empty()) {
@@ -321,7 +324,7 @@ int cmd_sweep(const Args& a) {
   // the form the committed golden files are compared against.
   const bool deterministic = a.has("deterministic");
   const std::string path =
-      write_artifact(artifact, a.get("out", "."), !deterministic);
+      write_artifact(artifact, out_dir, !deterministic);
   std::printf("wrote %s\n", path.c_str());
   if (!golden_path.empty()) {
     if (golden_bytes != artifact_to_json(artifact, !deterministic)) {
@@ -521,7 +524,7 @@ int cmd_adversary(const Args& a) {
 
 int cmd_gme(const Args& a) {
   const int nprocs = static_cast<int>(a.get_int("procs", 8, 1, kIntMax));
-  const int passages = static_cast<int>(a.get_int("passages", 3, 0, kIntMax));
+  const int passages = static_cast<int>(a.get_int("passages", 3, 1, kIntMax));
   const int n_sessions =
       static_cast<int>(a.get_int("sessions", 2, 1, kIntMax));
   auto mem = make_model(a.get("model", "dsm"), nprocs);
@@ -626,7 +629,7 @@ int cmd_explore(const Args& a, const char* argv0) {
   } else if (target == "mutex") {
     const int nprocs = static_cast<int>(a.get_int("procs", 2, 1, kIntMax));
     const int passages =
-        static_cast<int>(a.get_int("passages", 1, 0, kIntMax));
+        static_cast<int>(a.get_int("passages", 1, 1, kIntMax));
     const std::string lock_name = a.get("lock", "tas");
     // Validates the names before workers spawn.
     const LockFactory factory = lock_factory_by_name(lock_name);
