@@ -1,5 +1,6 @@
 #include "coherence/cache_controller.h"
 
+#include <bit>
 #include <utility>
 
 #include "common/check.h"
@@ -21,34 +22,36 @@ std::string_view to_string(LineState s) {
 }
 
 SnoopingCache::SnoopingCache(std::string name, int nprocs, CycleCosts costs)
-    : nprocs_(nprocs), costs_(costs), name_(std::move(name)),
+    : nprocs_(nprocs), mask_words_(mask_words(nprocs)), costs_(costs),
+      name_(std::move(name)),
       proc_cycles_(static_cast<std::size_t>(nprocs), 0) {
   ensure(nprocs > 0, "SnoopingCache needs at least one processor");
 }
 
-SnoopingCache::Line& SnoopingCache::line_mut(VarId v) {
+SnoopingCache::Line SnoopingCache::line(VarId v) {
   ensure(v >= 0, "variable id out of range");
-  if (static_cast<std::size_t>(v) >= lines_.size()) {
-    lines_.resize(static_cast<std::size_t>(v) + 1);
+  const auto i = static_cast<std::size_t>(v);
+  if (i >= meta_.size()) {
+    meta_.resize(i + 1);
+    st_.resize(meta_.size() * static_cast<std::size_t>(nprocs_),
+               LineState::kInvalid);
+    ver_.resize(meta_.size() * static_cast<std::size_t>(nprocs_), 0);
+    valid_.resize(meta_.size() * static_cast<std::size_t>(mask_words_), 0);
   }
-  Line& l = lines_[static_cast<std::size_t>(v)];
-  if (l.st.empty()) {
-    l.st.assign(static_cast<std::size_t>(nprocs_), LineState::kInvalid);
-    l.ver.assign(static_cast<std::size_t>(nprocs_), 0);
-  }
-  return l;
-}
-
-const SnoopingCache::Line* SnoopingCache::line(VarId v) const {
-  if (v < 0 || static_cast<std::size_t>(v) >= lines_.size()) return nullptr;
-  const Line& l = lines_[static_cast<std::size_t>(v)];
-  return l.st.empty() ? nullptr : &l;
+  const std::size_t at = i * static_cast<std::size_t>(nprocs_);
+  LineMeta& m = meta_[i];
+  return Line{st_.data() + at, ver_.data() + at,
+              valid_.data() + i * static_cast<std::size_t>(mask_words_),
+              m.version, m.memory_stale};
 }
 
 LineState SnoopingCache::state(ProcId p, VarId v) const {
-  const Line* l = line(v);
-  if (l == nullptr || p < 0 || p >= nprocs_) return LineState::kInvalid;
-  return l->st[static_cast<std::size_t>(p)];
+  if (v < 0 || static_cast<std::size_t>(v) >= meta_.size() || p < 0 ||
+      p >= nprocs_) {
+    return LineState::kInvalid;
+  }
+  return st_[static_cast<std::size_t>(v) * static_cast<std::size_t>(nprocs_) +
+             static_cast<std::size_t>(p)];
 }
 
 std::uint64_t SnoopingCache::proc_cycles(ProcId p) const {
@@ -62,7 +65,7 @@ void SnoopingCache::on_event(const CoherenceEvent& e) {
 
 void SnoopingCache::access(ProcId p, VarId v, bool write_access) {
   ensure(p >= 0 && p < nprocs_, "access by out-of-range proc");
-  Line& l = line_mut(v);
+  Line l = line(v);
   event_cycles_ = 0;
   if (write_access) {
     write(l, p);
@@ -74,19 +77,23 @@ void SnoopingCache::access(ProcId p, VarId v, bool write_access) {
 
 void SnoopingCache::on_crash(ProcId p) {
   ensure(p >= 0 && p < nprocs_, "crash of out-of-range proc");
-  for (Line& l : lines_) {
-    if (l.st.empty()) continue;
-    LineState& s = l.st[static_cast<std::size_t>(p)];
-    if (s == LineState::kInvalid) continue;
+  for (std::size_t i = 0; i < meta_.size(); ++i) {
+    std::uint64_t* valid =
+        valid_.data() + i * static_cast<std::size_t>(mask_words_);
+    if (!mask_test(valid, p)) continue;
+    const std::size_t at = i * static_cast<std::size_t>(nprocs_) +
+                           static_cast<std::size_t>(p);
     // A dirty owner's copy is treated as flushed before the power-off, so
     // memory is current again and later fills cannot see stale data. No
     // cycles are charged: crashes are free in the pricing model.
+    const LineState s = st_[at];
     const bool dirty_owner = s == LineState::kModified ||
                              s == LineState::kOwned ||
                              s == LineState::kSharedModified;
-    s = LineState::kInvalid;
-    l.ver[static_cast<std::size_t>(p)] = 0;
-    if (dirty_owner) l.memory_stale = false;
+    st_[at] = LineState::kInvalid;
+    ver_[at] = 0;
+    mask_clear(valid, p);
+    if (dirty_owner) meta_[i].memory_stale = false;
   }
 }
 
@@ -94,7 +101,10 @@ void SnoopingCache::reset() {
   MessageCounter::reset();
   updates_ = 0;
   stats_.reset();
-  lines_.clear();
+  st_.clear();
+  ver_.clear();
+  valid_.clear();
+  meta_.clear();
   proc_cycles_.assign(static_cast<std::size_t>(nprocs_), 0);
   cycle_log_.clear();
 }
@@ -138,49 +148,43 @@ void SnoopingCache::charge_write_back(ProcId p) {
 }
 
 void SnoopingCache::invalidate_others(Line& l, ProcId p) {
-  for (int q = 0; q < nprocs_; ++q) {
-    if (q == p) continue;
-    LineState& s = l.st[static_cast<std::size_t>(q)];
-    if (s == LineState::kInvalid) continue;
-    s = LineState::kInvalid;
-    l.ver[static_cast<std::size_t>(q)] = 0;
+  for_each_other(l, p, [&](ProcId q) {
+    l.st[q] = LineState::kInvalid;
+    l.ver[q] = 0;
+    mask_clear(l.valid, q);
     ++invalidations_;
     ++useful_;  // a snooping cache only invalidates copies that exist
-  }
+  });
 }
 
 void SnoopingCache::update_others(Line& l, ProcId p) {
-  for (int q = 0; q < nprocs_; ++q) {
-    if (q == p) continue;
-    if (l.st[static_cast<std::size_t>(q)] == LineState::kInvalid) continue;
-    l.ver[static_cast<std::size_t>(q)] = l.version;
+  for_each_other(l, p, [&](ProcId q) {
+    l.ver[q] = l.version;
     ++updates_;
-  }
+  });
 }
 
 void SnoopingCache::fill(Line& l, ProcId p, LineState s) {
-  l.st[static_cast<std::size_t>(p)] = s;
-  l.ver[static_cast<std::size_t>(p)] = l.version;
+  l.st[p] = s;
+  l.ver[p] = l.version;
+  mask_set(l.valid, p);
 }
 
 void SnoopingCache::bump_version(Line& l, ProcId p) {
   ++l.version;
-  l.ver[static_cast<std::size_t>(p)] = l.version;
+  l.ver[p] = l.version;
 }
 
 int SnoopingCache::count_valid_others(const Line& l, ProcId p) const {
-  int n = 0;
-  for (int q = 0; q < nprocs_; ++q) {
-    if (q != p && l.st[static_cast<std::size_t>(q)] != LineState::kInvalid) {
-      ++n;
-    }
-  }
-  return n;
+  return mask_count(l.valid, mask_words_) - (mask_test(l.valid, p) ? 1 : 0);
 }
 
 ProcId SnoopingCache::find_other(const Line& l, ProcId p, LineState s) const {
-  for (int q = 0; q < nprocs_; ++q) {
-    if (q != p && l.st[static_cast<std::size_t>(q)] == s) return q;
+  for (int w = 0; w < mask_words_; ++w) {
+    for (std::uint64_t bits = l.valid[w]; bits != 0; bits &= bits - 1) {
+      const auto q = static_cast<ProcId>(w * 64 + std::countr_zero(bits));
+      if (q != p && l.st[q] == s) return q;
+    }
   }
   return kNoProc;
 }
@@ -193,21 +197,34 @@ std::optional<std::string> SnoopingCache::check_invariants() const {
   if (total_messages() != transfers_ + invalidations_ + updates_) {
     return "total_messages out of sync with its components";
   }
-  for (VarId v = 0; static_cast<std::size_t>(v) < lines_.size(); ++v) {
-    const Line& l = lines_[static_cast<std::size_t>(v)];
-    if (l.st.empty()) continue;
-    // Every valid copy must hold the latest value — invalidation protocols
-    // guarantee it by destroying stale copies, Dragon by refreshing them.
+  for (std::size_t i = 0; i < meta_.size(); ++i) {
+    const auto v = static_cast<VarId>(i);
+    const LineState* st = st_.data() + i * static_cast<std::size_t>(nprocs_);
+    const std::uint64_t* ver =
+        ver_.data() + i * static_cast<std::size_t>(nprocs_);
+    const std::uint64_t* valid =
+        valid_.data() + i * static_cast<std::size_t>(mask_words_);
+    const LineMeta& m = meta_[i];
     for (int q = 0; q < nprocs_; ++q) {
-      if (l.st[static_cast<std::size_t>(q)] == LineState::kInvalid) continue;
-      if (l.ver[static_cast<std::size_t>(q)] != l.version) {
+      // The sharer mask is a cache of the states; every mask walk trusts
+      // it, so a drifted bit would silently skip (or invent) a copy.
+      const bool holds = st[q] != LineState::kInvalid;
+      if (mask_test(valid, q) != holds) {
+        return "sharer mask out of sync: proc " + std::to_string(q) +
+               " is " + std::string(to_string(st[q])) + " on v" +
+               std::to_string(v) + " but its mask bit is " +
+               (holds ? "clear" : "set");
+      }
+      // Every valid copy must hold the latest value — invalidation
+      // protocols guarantee it by destroying stale copies, Dragon by
+      // refreshing them.
+      if (holds && ver[q] != m.version) {
         return "stale valid copy: proc " + std::to_string(q) + " holds v" +
-               std::to_string(v) + " at version " +
-               std::to_string(l.ver[static_cast<std::size_t>(q)]) + " of " +
-               std::to_string(l.version);
+               std::to_string(v) + " at version " + std::to_string(ver[q]) +
+               " of " + std::to_string(m.version);
       }
     }
-    if (auto err = check_line(l, v)) return err;
+    if (auto err = check_line(st, m.memory_stale, v)) return err;
   }
   return std::nullopt;
 }

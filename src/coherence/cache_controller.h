@@ -3,11 +3,11 @@
 // Each protocol (MESI, MESIF, MOESI, Dragon) is an explicit per-line state
 // machine over the states below, driven by the CoherenceEvent stream
 // SharedMemory publishes. This base class owns everything the protocols
-// share — per-(line, processor) state storage, version tracking (every
-// valid copy must hold the latest value, however the protocol arranges
-// that), the memory-staleness bit, message tallies, and the cycle ledger —
-// so a concrete protocol is nothing but its read() / write() transition
-// functions plus its invariant checker.
+// share — per-(line, processor) state storage in flat arrays with a sharer
+// bitmask per line, version tracking (every valid copy must hold the latest
+// value, however the protocol arranges that), the memory-staleness bit,
+// message tallies, and the cycle ledger — so a concrete protocol is nothing
+// but its read() / write() transition functions plus its invariant checker.
 //
 // Two deliberate modeling choices, both inherited from the pricing layer:
 //  * one variable == one cache line == one word (no false sharing, no
@@ -26,6 +26,7 @@
 
 #include "coherence/protocols.h"
 #include "coherence/stats.h"
+#include "common/bitmask.h"
 #include "memory/cost_model.h"
 
 namespace rmrsim {
@@ -79,8 +80,9 @@ class SnoopingCache : public MessageCounter {
 
   /// Checks every line against the protocol's transition-diagram
   /// invariants plus the fleet-wide ones (single writer-owner, every valid
-  /// copy current, tally consistency). nullopt = all hold; otherwise a
-  /// human-readable description of the first violation.
+  /// copy current, sharer mask in step with the states, tally
+  /// consistency). nullopt = all hold; otherwise a human-readable
+  /// description of the first violation.
   std::optional<std::string> check_invariants() const;
 
   /// Opts into per-event cycle logging: every on_event()/access() appends
@@ -90,21 +92,28 @@ class SnoopingCache : public MessageCounter {
   const std::vector<std::uint64_t>& cycle_log() const { return cycle_log_; }
 
  protected:
+  /// One line's slice of the flat per-line arrays, built per access. The
+  /// pointers stay valid until the next access grows the arrays.
   struct Line {
-    std::vector<LineState> st;        ///< per-proc state, size nprocs
-    std::vector<std::uint64_t> ver;   ///< version each copy holds
-    std::uint64_t version = 0;        ///< writes applied to this line
-    bool memory_stale = false;        ///< memory lags a dirty owner
+    LineState* st;           ///< per-proc state, nprocs entries
+    std::uint64_t* ver;      ///< version each copy holds, nprocs entries
+    std::uint64_t* valid;    ///< sharer mask: bit q set iff st[q] != I
+    std::uint64_t& version;  ///< writes applied to this line
+    bool& memory_stale;      ///< memory lags a dirty owner
   };
 
   // The protocol: how `p`'s read / write transitions `l` and what it
-  // charges. Implementations use the charge_* helpers below.
+  // charges. Implementations use the charge_* helpers below. Demotions
+  // write `l.st` directly; they move a copy between valid states, so the
+  // sharer mask (kept by fill, invalidate_others and on_crash) never moves.
   virtual void read(Line& l, ProcId p) = 0;
   virtual void write(Line& l, ProcId p) = 0;
 
-  /// Protocol-specific line invariants (legal state subset, owner
-  /// uniqueness rules). The base adds the protocol-independent checks.
-  virtual std::optional<std::string> check_line(const Line& l,
+  /// Protocol-specific invariants of line `v`, given its per-proc states
+  /// (legal state subset, owner uniqueness rules). The base adds the
+  /// protocol-independent checks.
+  virtual std::optional<std::string> check_line(const LineState* st,
+                                                bool memory_stale,
                                                 VarId v) const = 0;
 
   // ---- transition vocabulary (message + cycle accounting) --------------
@@ -137,10 +146,17 @@ class SnoopingCache : public MessageCounter {
   /// First other proc whose state is `s`; kNoProc if none.
   ProcId find_other(const Line& l, ProcId p, LineState s) const;
 
-  Line& line_mut(VarId v);
-  const Line* line(VarId v) const;
+  /// Calls f(q) for every proc q != p holding a valid copy, in ascending
+  /// order; walks the sharer mask, never the whole processor range.
+  template <typename F>
+  void for_each_other(const Line& l, ProcId p, F&& f) const {
+    mask_for_each(l.valid, mask_words_, [&](ProcId q) {
+      if (q != p) f(q);
+    });
+  }
 
   int nprocs_;
+  int mask_words_;
   CycleCosts costs_;
   ProtocolStats stats_;
   std::uint64_t updates_ = 0;
@@ -148,8 +164,22 @@ class SnoopingCache : public MessageCounter {
  private:
   void charge_cycles(ProcId p, std::uint64_t cycles);
 
+  struct LineMeta {
+    std::uint64_t version = 0;
+    bool memory_stale = false;
+  };
+
+  Line line(VarId v);
+
   std::string name_;
-  std::vector<Line> lines_;  // index = VarId, grown lazily
+  // Per-line storage, index = VarId, grown lazily: line v's states and
+  // copy versions are entries [v * nprocs_, (v + 1) * nprocs_) of st_ and
+  // ver_, its sharer mask words [v * mask_words_, (v + 1) * mask_words_)
+  // of valid_.
+  std::vector<LineState> st_;
+  std::vector<std::uint64_t> ver_;
+  std::vector<std::uint64_t> valid_;
+  std::vector<LineMeta> meta_;
   std::vector<std::uint64_t> proc_cycles_;
   std::vector<std::uint64_t> cycle_log_;
   bool cycle_log_enabled_ = false;

@@ -3,7 +3,7 @@
 namespace rmrsim {
 
 void DragonCache::read(Line& l, ProcId p) {
-  switch (l.st[static_cast<std::size_t>(p)]) {
+  switch (l.st[p]) {
     case LineState::kExclusive:
     case LineState::kSharedClean:
     case LineState::kSharedModified:
@@ -19,11 +19,11 @@ void DragonCache::read(Line& l, ProcId p) {
     charge_cache_transfer(p);
     const ProcId m = find_other(l, p, LineState::kModified);
     if (m != kNoProc) {
-      l.st[static_cast<std::size_t>(m)] = LineState::kSharedModified;
+      l.st[m] = LineState::kSharedModified;
     }
     const ProcId e = find_other(l, p, LineState::kExclusive);
     if (e != kNoProc) {
-      l.st[static_cast<std::size_t>(e)] = LineState::kSharedClean;
+      l.st[e] = LineState::kSharedClean;
     }
     fill(l, p, LineState::kSharedClean);
     return;
@@ -33,7 +33,7 @@ void DragonCache::read(Line& l, ProcId p) {
 }
 
 void DragonCache::write(Line& l, ProcId p) {
-  switch (l.st[static_cast<std::size_t>(p)]) {
+  switch (l.st[p]) {
     case LineState::kModified:
       charge_hit(p);
       bump_version(l, p);
@@ -41,7 +41,7 @@ void DragonCache::write(Line& l, ProcId p) {
     case LineState::kExclusive:
       // Sole clean holder: silent upgrade, exactly like MESI's E -> M.
       charge_hit(p);
-      l.st[static_cast<std::size_t>(p)] = LineState::kModified;
+      l.st[p] = LineState::kModified;
       bump_version(l, p);
       l.memory_stale = true;
       return;
@@ -56,11 +56,11 @@ void DragonCache::write(Line& l, ProcId p) {
         update_others(l, p);
         const ProcId sm = find_other(l, p, LineState::kSharedModified);
         if (sm != kNoProc) {
-          l.st[static_cast<std::size_t>(sm)] = LineState::kSharedClean;
+          l.st[sm] = LineState::kSharedClean;
         }
-        l.st[static_cast<std::size_t>(p)] = LineState::kSharedModified;
+        l.st[p] = LineState::kSharedModified;
       } else {
-        l.st[static_cast<std::size_t>(p)] = LineState::kModified;
+        l.st[p] = LineState::kModified;
       }
       l.memory_stale = true;
       return;
@@ -77,14 +77,13 @@ void DragonCache::write(Line& l, ProcId p) {
     bump_version(l, p);
     charge_bus_update(p);
     update_others(l, p);
-    for (int q = 0; q < nprocs_; ++q) {
-      if (q == p) continue;
-      LineState& s = l.st[static_cast<std::size_t>(q)];
+    for_each_other(l, p, [&](ProcId q) {
+      LineState& s = l.st[q];
       if (s == LineState::kModified || s == LineState::kSharedModified ||
           s == LineState::kExclusive) {
         s = LineState::kSharedClean;
       }
-    }
+    });
     l.memory_stale = true;
     return;
   }
@@ -94,14 +93,15 @@ void DragonCache::write(Line& l, ProcId p) {
   l.memory_stale = true;
 }
 
-std::optional<std::string> DragonCache::check_line(const Line& l,
+std::optional<std::string> DragonCache::check_line(const LineState* st,
+                                                   bool memory_stale,
                                                    VarId v) const {
   int owner_like = 0;   // M, E, or Sm — at most one may exist
   int valid = 0;
   bool sole_only = false;
   bool dirty = false;
   for (int q = 0; q < nprocs_; ++q) {
-    switch (l.st[static_cast<std::size_t>(q)]) {
+    switch (st[q]) {
       case LineState::kInvalid:
         break;
       case LineState::kSharedClean:
@@ -125,7 +125,7 @@ std::optional<std::string> DragonCache::check_line(const Line& l,
         break;
       default:
         return std::string(name()) + ": illegal state " +
-               std::string(to_string(l.st[static_cast<std::size_t>(q)])) +
+               std::string(to_string(st[q])) +
                " on v" + std::to_string(v);
     }
   }
@@ -137,7 +137,7 @@ std::optional<std::string> DragonCache::check_line(const Line& l,
     return std::string(name()) + ": M/E coexists with other copies on v" +
            std::to_string(v);
   }
-  if (l.memory_stale && !dirty) {
+  if (memory_stale && !dirty) {
     return std::string(name()) + ": memory stale with no M/Sm holder on v" +
            std::to_string(v);
   }

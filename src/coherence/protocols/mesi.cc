@@ -3,7 +3,7 @@
 namespace rmrsim {
 
 void MesiCache::read(Line& l, ProcId p) {
-  switch (l.st[static_cast<std::size_t>(p)]) {
+  switch (l.st[p]) {
     case LineState::kModified:
     case LineState::kExclusive:
     case LineState::kShared:
@@ -20,7 +20,7 @@ void MesiCache::read(Line& l, ProcId p) {
     // write-back is exactly what MOESI's O state avoids.
     charge_cache_transfer(p);
     charge_write_back(owner);
-    l.st[static_cast<std::size_t>(owner)] = LineState::kShared;
+    l.st[owner] = LineState::kShared;
     l.memory_stale = false;
     fill(l, p, LineState::kShared);
     return;
@@ -30,7 +30,7 @@ void MesiCache::read(Line& l, ProcId p) {
     charge_cache_transfer(p);
     const ProcId excl = find_other(l, p, LineState::kExclusive);
     if (excl != kNoProc) {
-      l.st[static_cast<std::size_t>(excl)] = LineState::kShared;
+      l.st[excl] = LineState::kShared;
     }
     fill(l, p, LineState::kShared);
     return;
@@ -40,7 +40,7 @@ void MesiCache::read(Line& l, ProcId p) {
 }
 
 void MesiCache::write(Line& l, ProcId p) {
-  switch (l.st[static_cast<std::size_t>(p)]) {
+  switch (l.st[p]) {
     case LineState::kModified:
       charge_hit(p);
       bump_version(l, p);
@@ -48,7 +48,7 @@ void MesiCache::write(Line& l, ProcId p) {
     case LineState::kExclusive:
       // The silent upgrade: sole clean holder writes locally, no bus.
       charge_hit(p);
-      l.st[static_cast<std::size_t>(p)] = LineState::kModified;
+      l.st[p] = LineState::kModified;
       bump_version(l, p);
       l.memory_stale = true;
       return;
@@ -56,7 +56,7 @@ void MesiCache::write(Line& l, ProcId p) {
       // BusUpgr: address-only invalidation broadcast, no data moves.
       charge_bus_signal(p);
       invalidate_others(l, p);
-      l.st[static_cast<std::size_t>(p)] = LineState::kModified;
+      l.st[p] = LineState::kModified;
       bump_version(l, p);
       l.memory_stale = true;
       return;
@@ -75,13 +75,14 @@ void MesiCache::write(Line& l, ProcId p) {
   l.memory_stale = true;
 }
 
-std::optional<std::string> MesiCache::check_line(const Line& l,
+std::optional<std::string> MesiCache::check_line(const LineState* st,
+                                                 bool memory_stale,
                                                  VarId v) const {
   int exclusive_like = 0;
   int valid = 0;
   bool dirty = false;
   for (int q = 0; q < nprocs_; ++q) {
-    switch (l.st[static_cast<std::size_t>(q)]) {
+    switch (st[q]) {
       case LineState::kInvalid:
         break;
       case LineState::kShared:
@@ -98,7 +99,7 @@ std::optional<std::string> MesiCache::check_line(const Line& l,
         break;
       default:
         return std::string(name()) + ": illegal state " +
-               std::string(to_string(l.st[static_cast<std::size_t>(q)])) +
+               std::string(to_string(st[q])) +
                " on v" + std::to_string(v);
     }
   }
@@ -109,7 +110,7 @@ std::optional<std::string> MesiCache::check_line(const Line& l,
     return std::string(name()) + ": M/E coexists with other copies on v" +
            std::to_string(v);
   }
-  if (l.memory_stale && !dirty) {
+  if (memory_stale && !dirty) {
     return std::string(name()) + ": memory stale with no M holder on v" +
            std::to_string(v);
   }

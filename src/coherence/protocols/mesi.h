@@ -30,7 +30,9 @@ class MesiCache : public SnoopingCache {
  protected:
   void read(Line& l, ProcId p) override;
   void write(Line& l, ProcId p) override;
-  std::optional<std::string> check_line(const Line& l, VarId v) const override;
+  std::optional<std::string> check_line(const LineState* st,
+                                        bool memory_stale,
+                                        VarId v) const override;
 };
 
 }  // namespace rmrsim

@@ -3,7 +3,7 @@
 namespace rmrsim {
 
 void MesifCache::read(Line& l, ProcId p) {
-  switch (l.st[static_cast<std::size_t>(p)]) {
+  switch (l.st[p]) {
     case LineState::kModified:
     case LineState::kExclusive:
     case LineState::kShared:
@@ -18,7 +18,7 @@ void MesifCache::read(Line& l, ProcId p) {
   if (owner != kNoProc) {
     charge_cache_transfer(p);
     charge_write_back(owner);  // M -> S is clean, memory made current
-    l.st[static_cast<std::size_t>(owner)] = LineState::kShared;
+    l.st[owner] = LineState::kShared;
     l.memory_stale = false;
     fill(l, p, LineState::kForward);
     return;
@@ -26,7 +26,7 @@ void MesifCache::read(Line& l, ProcId p) {
   const ProcId excl = find_other(l, p, LineState::kExclusive);
   if (excl != kNoProc) {
     charge_cache_transfer(p);
-    l.st[static_cast<std::size_t>(excl)] = LineState::kShared;
+    l.st[excl] = LineState::kShared;
     fill(l, p, LineState::kForward);
     return;
   }
@@ -35,7 +35,7 @@ void MesifCache::read(Line& l, ProcId p) {
     // The F holder responds and hands the forwarding duty to the newest
     // sharer (it is the least likely to evict soon in real MESIF).
     charge_cache_transfer(p);
-    l.st[static_cast<std::size_t>(fwd)] = LineState::kShared;
+    l.st[fwd] = LineState::kShared;
     fill(l, p, LineState::kForward);
     return;
   }
@@ -54,14 +54,14 @@ void MesifCache::read(Line& l, ProcId p) {
 }
 
 void MesifCache::write(Line& l, ProcId p) {
-  switch (l.st[static_cast<std::size_t>(p)]) {
+  switch (l.st[p]) {
     case LineState::kModified:
       charge_hit(p);
       bump_version(l, p);
       return;
     case LineState::kExclusive:
       charge_hit(p);
-      l.st[static_cast<std::size_t>(p)] = LineState::kModified;
+      l.st[p] = LineState::kModified;
       bump_version(l, p);
       l.memory_stale = true;
       return;
@@ -69,7 +69,7 @@ void MesifCache::write(Line& l, ProcId p) {
     case LineState::kForward:
       charge_bus_signal(p);
       invalidate_others(l, p);
-      l.st[static_cast<std::size_t>(p)] = LineState::kModified;
+      l.st[p] = LineState::kModified;
       bump_version(l, p);
       l.memory_stale = true;
       return;
@@ -87,14 +87,15 @@ void MesifCache::write(Line& l, ProcId p) {
   l.memory_stale = true;
 }
 
-std::optional<std::string> MesifCache::check_line(const Line& l,
+std::optional<std::string> MesifCache::check_line(const LineState* st,
+                                                  bool memory_stale,
                                                   VarId v) const {
   int exclusive_like = 0;
   int forward = 0;
   int valid = 0;
   bool dirty = false;
   for (int q = 0; q < nprocs_; ++q) {
-    switch (l.st[static_cast<std::size_t>(q)]) {
+    switch (st[q]) {
       case LineState::kInvalid:
         break;
       case LineState::kShared:
@@ -115,7 +116,7 @@ std::optional<std::string> MesifCache::check_line(const Line& l,
         break;
       default:
         return std::string(name()) + ": illegal state " +
-               std::string(to_string(l.st[static_cast<std::size_t>(q)])) +
+               std::string(to_string(st[q])) +
                " on v" + std::to_string(v);
     }
   }
@@ -129,12 +130,12 @@ std::optional<std::string> MesifCache::check_line(const Line& l,
   if (forward > 1) {
     return std::string(name()) + ": two F holders on v" + std::to_string(v);
   }
-  if (forward == 1 && l.memory_stale) {
+  if (forward == 1 && memory_stale) {
     // F is a clean state: it can only exist while memory is current.
     return std::string(name()) + ": F held while memory is stale on v" +
            std::to_string(v);
   }
-  if (l.memory_stale && !dirty) {
+  if (memory_stale && !dirty) {
     return std::string(name()) + ": memory stale with no M holder on v" +
            std::to_string(v);
   }

@@ -3,7 +3,7 @@
 namespace rmrsim {
 
 void MoesiCache::read(Line& l, ProcId p) {
-  switch (l.st[static_cast<std::size_t>(p)]) {
+  switch (l.st[p]) {
     case LineState::kModified:
     case LineState::kExclusive:
     case LineState::kShared:
@@ -19,7 +19,7 @@ void MoesiCache::read(Line& l, ProcId p) {
   const ProcId owner = find_other(l, p, LineState::kModified);
   if (owner != kNoProc) {
     charge_cache_transfer(p);
-    l.st[static_cast<std::size_t>(owner)] = LineState::kOwned;
+    l.st[owner] = LineState::kOwned;
     fill(l, p, LineState::kShared);
     return;
   }
@@ -35,7 +35,7 @@ void MoesiCache::read(Line& l, ProcId p) {
     charge_cache_transfer(p);
     const ProcId excl = find_other(l, p, LineState::kExclusive);
     if (excl != kNoProc) {
-      l.st[static_cast<std::size_t>(excl)] = LineState::kShared;
+      l.st[excl] = LineState::kShared;
     }
     fill(l, p, LineState::kShared);
     return;
@@ -45,14 +45,14 @@ void MoesiCache::read(Line& l, ProcId p) {
 }
 
 void MoesiCache::write(Line& l, ProcId p) {
-  switch (l.st[static_cast<std::size_t>(p)]) {
+  switch (l.st[p]) {
     case LineState::kModified:
       charge_hit(p);
       bump_version(l, p);
       return;
     case LineState::kExclusive:
       charge_hit(p);
-      l.st[static_cast<std::size_t>(p)] = LineState::kModified;
+      l.st[p] = LineState::kModified;
       bump_version(l, p);
       l.memory_stale = true;
       return;
@@ -62,7 +62,7 @@ void MoesiCache::write(Line& l, ProcId p) {
       // writer already has the data; it just reclaims exclusivity.
       charge_bus_signal(p);
       invalidate_others(l, p);
-      l.st[static_cast<std::size_t>(p)] = LineState::kModified;
+      l.st[p] = LineState::kModified;
       bump_version(l, p);
       l.memory_stale = true;
       return;
@@ -81,14 +81,15 @@ void MoesiCache::write(Line& l, ProcId p) {
   l.memory_stale = true;
 }
 
-std::optional<std::string> MoesiCache::check_line(const Line& l,
+std::optional<std::string> MoesiCache::check_line(const LineState* st,
+                                                  bool memory_stale,
                                                   VarId v) const {
   int owner_like = 0;   // M, E, or O — at most one of these may exist
   int valid = 0;
   bool sole_only = false;  // M/E demand being the only copy
   bool dirty = false;
   for (int q = 0; q < nprocs_; ++q) {
-    switch (l.st[static_cast<std::size_t>(q)]) {
+    switch (st[q]) {
       case LineState::kInvalid:
         break;
       case LineState::kShared:
@@ -112,7 +113,7 @@ std::optional<std::string> MoesiCache::check_line(const Line& l,
         break;
       default:
         return std::string(name()) + ": illegal state " +
-               std::string(to_string(l.st[static_cast<std::size_t>(q)])) +
+               std::string(to_string(st[q])) +
                " on v" + std::to_string(v);
     }
   }
@@ -124,7 +125,7 @@ std::optional<std::string> MoesiCache::check_line(const Line& l,
     return std::string(name()) + ": M/E coexists with other copies on v" +
            std::to_string(v);
   }
-  if (l.memory_stale && !dirty) {
+  if (memory_stale && !dirty) {
     return std::string(name()) + ": memory stale with no M/O holder on v" +
            std::to_string(v);
   }

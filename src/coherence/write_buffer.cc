@@ -1,18 +1,41 @@
 #include "coherence/write_buffer.h"
 
+#include "common/bitmask.h"
 #include "common/check.h"
 
 namespace rmrsim {
 
 WriteBuffer::WriteBuffer(CoherenceListener* inner, int nprocs, int capacity)
     : inner_(inner), nprocs_(nprocs), capacity_(capacity),
+      mask_words_(mask_words(nprocs)),
       pending_(static_cast<std::size_t>(nprocs)) {
   ensure(inner != nullptr, "WriteBuffer needs a backing listener");
   ensure(nprocs > 0, "WriteBuffer needs at least one processor");
   ensure(capacity > 0, "WriteBuffer capacity must be positive");
 }
 
+const std::uint64_t* WriteBuffer::holder_set(VarId v) const {
+  const std::size_t at =
+      static_cast<std::size_t>(v) * static_cast<std::size_t>(mask_words_);
+  return at < holders_.size() ? holders_.data() + at : nullptr;
+}
+
+bool WriteBuffer::holds(ProcId p, VarId v) const {
+  const std::uint64_t* set = holder_set(v);
+  return set != nullptr && mask_test(set, p);
+}
+
+std::uint64_t* WriteBuffer::holders(VarId v) {
+  const std::size_t at =
+      static_cast<std::size_t>(v) * static_cast<std::size_t>(mask_words_);
+  if (at >= holders_.size()) {
+    holders_.resize(at + static_cast<std::size_t>(mask_words_), 0);
+  }
+  return holders_.data() + at;
+}
+
 int WriteBuffer::find_pending(ProcId p, VarId v) const {
+  if (!holds(p, v)) return -1;
   const auto& q = pending_[static_cast<std::size_t>(p)];
   for (std::size_t i = 0; i < q.size(); ++i) {
     if (q[i].var == v) return static_cast<int>(i);
@@ -25,18 +48,24 @@ void WriteBuffer::drain(ProcId p) {
   for (const CoherenceEvent& e : q) {
     inner_->on_event(e);
     ++drained_;
+    mask_clear(holders(e.var), p);
   }
   q.clear();
 }
 
 void WriteBuffer::drain_conflicting(ProcId p, VarId v) {
-  for (int q = 0; q < nprocs_; ++q) {
-    if (q != p && find_pending(q, v) >= 0) drain(q);
-  }
+  const std::uint64_t* set = holder_set(v);
+  if (set == nullptr) return;  // nobody ever buffered a write to v
+  // Ascending processor order, as the drains have always run. Draining q
+  // only clears q's own bits, so the walk sees every other holder.
+  mask_for_each(set, mask_words_, [&](ProcId q) {
+    if (q != p) drain(q);
+  });
 }
 
 void WriteBuffer::on_event(const CoherenceEvent& e) {
   ensure(e.proc >= 0 && e.proc < nprocs_, "event from out-of-range proc");
+  ensure(e.var >= 0, "event on out-of-range variable");
   // Coherence point: before this access can proceed, any *other* processor's
   // buffered store to the same variable must become visible.
   drain_conflicting(e.proc, e.var);
@@ -54,12 +83,13 @@ void WriteBuffer::on_event(const CoherenceEvent& e) {
     auto& q = pending_[static_cast<std::size_t>(e.proc)];
     if (static_cast<int>(q.size()) >= capacity_) drain(e.proc);
     q.push_back(e);
+    mask_set(holders(e.var), e.proc);
     ++buffered_;
     return;
   }
 
   if (e.op == OpType::kRead) {
-    if (find_pending(e.proc, e.var) >= 0) {
+    if (holds(e.proc, e.var)) {
       // Store forwarding: the youngest buffered value satisfies the read;
       // the backing protocol never sees a transaction.
       ++forwarded_;
@@ -89,6 +119,7 @@ void WriteBuffer::flush() {
 
 void WriteBuffer::reset() {
   for (auto& q : pending_) q.clear();
+  holders_.clear();
   buffered_ = 0;
   coalesced_ = 0;
   forwarded_ = 0;

@@ -54,12 +54,25 @@ class WriteBuffer final : public CoherenceListener {
   void drain(ProcId p);
   /// Drains every processor other than `p` holding a buffered write to `v`.
   void drain_conflicting(ProcId p, VarId v);
+  /// Index of p's buffered write to `v` in its FIFO; -1 if none.
   int find_pending(ProcId p, VarId v) const;
+  /// v's holder set (mask_words_ words); nullptr if no write to v was ever
+  /// buffered.
+  const std::uint64_t* holder_set(VarId v) const;
+  /// v's holder set, growing the table to cover v.
+  std::uint64_t* holders(VarId v);
+  /// Does `p` hold a buffered write to `v`?
+  bool holds(ProcId p, VarId v) const;
 
   CoherenceListener* inner_;
   int nprocs_;
   int capacity_;
+  int mask_words_;
   std::vector<std::vector<CoherenceEvent>> pending_;  // per-proc FIFO
+  // Per-variable holder sets, index = VarId, grown lazily: bit q of v's
+  // set is on iff q's FIFO holds a write to v (coalescing keeps at most
+  // one), so the conflict and lookup paths skip processors holding nothing.
+  std::vector<std::uint64_t> holders_;
   std::uint64_t buffered_ = 0;
   std::uint64_t coalesced_ = 0;
   std::uint64_t forwarded_ = 0;

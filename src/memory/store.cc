@@ -1,14 +1,14 @@
 #include "memory/store.h"
 
 #include <algorithm>
-#include <bit>
 
+#include "common/bitmask.h"
 #include "common/check.h"
 
 namespace rmrsim {
 
 MemoryStore::MemoryStore(int nprocs)
-    : nprocs_(nprocs), mask_words_((nprocs + 63) / 64),
+    : nprocs_(nprocs), mask_words_(mask_words(nprocs)),
       names_(std::make_shared<std::vector<std::string>>()) {
   ensure(nprocs > 0, "store needs at least one processor");
 }
@@ -52,18 +52,6 @@ const std::uint64_t* MemoryStore::reservation_mask(VarId v) const {
          static_cast<std::size_t>(v) * static_cast<std::size_t>(mask_words_);
 }
 
-bool MemoryStore::mask_test(const std::uint64_t* m, ProcId p) {
-  return (m[p >> 6] >> (p & 63)) & 1u;
-}
-
-void MemoryStore::mask_set(std::uint64_t* m, ProcId p) {
-  m[p >> 6] |= std::uint64_t{1} << (p & 63);
-}
-
-void MemoryStore::mask_clear(std::uint64_t* m, ProcId p) {
-  m[p >> 6] &= ~(std::uint64_t{1} << (p & 63));
-}
-
 bool MemoryStore::any_reservation(VarId v) const {
   const std::uint64_t* m = reservation_mask(v);
   for (int w = 0; w < mask_words_; ++w) {
@@ -84,10 +72,7 @@ ProcId MemoryStore::last_writer(VarId v) const {
 }
 
 int MemoryStore::distinct_writers(VarId v) const {
-  const std::uint64_t* m = writer_mask(static_cast<VarId>(index(v)));
-  int count = 0;
-  for (int w = 0; w < mask_words_; ++w) count += std::popcount(m[w]);
-  return count;
+  return mask_count(writer_mask(static_cast<VarId>(index(v))), mask_words_);
 }
 
 const std::string& MemoryStore::name(VarId v) const {

@@ -7,12 +7,12 @@
 // (DSM or CC) classifies each access as local or RMR.
 //
 // Per-variable process sets (distinct writers, LL reservations) are stored as
-// process bitmasks — `mask_words()` 64-bit words per variable in two flat
-// arrays — so membership tests are O(1) and distinct_writers is a popcount,
-// replacing the std::find scans the step loop used to pay per memory op
-// (DESIGN.md, "Step-loop performance model"). Grids drive the simulator well
-// past 64 processes (E1 sweeps to N=1024), hence multi-word masks rather than
-// a single uint64_t.
+// process bitmasks (common/bitmask.h) — `mask_words()` 64-bit words per
+// variable in two flat arrays — so membership tests are O(1) and
+// distinct_writers is a popcount, replacing the std::find scans the step loop
+// used to pay per memory op (DESIGN.md, "Step-loop performance model").
+// Grids drive the simulator well past 64 processes (E1 sweeps to N=1024),
+// hence multi-word masks rather than a single uint64_t.
 //
 // Layout is structure-of-arrays: values, initials, homes, and last-writers
 // live in parallel flat vectors of trivially copyable elements, and the
@@ -142,9 +142,6 @@ class MemoryStore {
   const std::uint64_t* writer_mask(VarId v) const;
   std::uint64_t* reservation_mask(VarId v);
   const std::uint64_t* reservation_mask(VarId v) const;
-  static bool mask_test(const std::uint64_t* m, ProcId p);
-  static void mask_set(std::uint64_t* m, ProcId p);
-  static void mask_clear(std::uint64_t* m, ProcId p);
   bool any_reservation(VarId v) const;
   void clear_slot_reservations(VarId v);
 

@@ -16,6 +16,7 @@
 
 #include "coherence/cache_controller.h"
 #include "coherence/fleet.h"
+#include "coherence/protocols/mesi.h"
 
 namespace rmrsim {
 namespace {
@@ -26,7 +27,9 @@ constexpr VarId kVar = 0;
 // One transition probe. Accesses are tokens "R<p>" (read), "W<p>" (write),
 // "X<p>" (crash of processor p); `expected` is the per-processor state of
 // kVar after the probe, space-separated ("M I I I"). The message and cycle
-// fields are deltas attributable to the probe alone.
+// fields are deltas attributable to the probe alone. A row may widen the
+// cache past kProcs (to straddle a sharer-mask word); its `expected` then
+// lists only the valid copies, as "<p>:<state>" ("0:Sm 64:Sc").
 struct Arc {
   const char* prelude;
   const char* probe;
@@ -35,12 +38,15 @@ struct Arc {
   std::uint64_t invalidations;
   std::uint64_t updates;
   std::uint64_t cycles;
+  int nprocs = kProcs;
 };
 
 void apply_token(SnoopingCache& cache, const std::string& tok) {
-  ASSERT_EQ(tok.size(), 2u) << "bad access token: " << tok;
-  const ProcId p = tok[1] - '0';
-  ASSERT_TRUE(p >= 0 && p < kProcs) << "bad processor in token: " << tok;
+  ASSERT_GE(tok.size(), 2u) << "bad access token: " << tok;
+  ASSERT_EQ(tok.find_first_not_of("0123456789", 1), std::string::npos)
+      << "bad processor in token: " << tok;
+  const ProcId p = std::stoi(tok.substr(1));
+  ASSERT_TRUE(p < cache.nprocs()) << "bad processor in token: " << tok;
   if (tok[0] == 'X') {
     cache.on_crash(p);
     return;
@@ -50,17 +56,22 @@ void apply_token(SnoopingCache& cache, const std::string& tok) {
 }
 
 std::string state_string(const SnoopingCache& cache) {
+  const bool dense = cache.nprocs() == kProcs;
   std::string out;
-  for (ProcId p = 0; p < kProcs; ++p) {
-    if (p != 0) out += ' ';
-    out += std::string(to_string(cache.state(p, kVar)));
+  for (ProcId p = 0; p < cache.nprocs(); ++p) {
+    const LineState s = cache.state(p, kVar);
+    if (!dense && s == LineState::kInvalid) continue;
+    if (!out.empty()) out += ' ';
+    if (!dense) out += std::to_string(p) + ':';
+    out += std::string(to_string(s));
   }
   return out;
 }
 
 void run_arc(const std::string& protocol, const Arc& arc) {
-  SCOPED_TRACE(protocol + ": [" + arc.prelude + "] probe " + arc.probe);
-  std::unique_ptr<SnoopingCache> cache = make_protocol(protocol, kProcs);
+  SCOPED_TRACE(protocol + " x" + std::to_string(arc.nprocs) + ": [" +
+               arc.prelude + "] probe " + arc.probe);
+  std::unique_ptr<SnoopingCache> cache = make_protocol(protocol, arc.nprocs);
   ASSERT_NE(cache, nullptr);
 
   std::istringstream pre(arc.prelude);
@@ -117,6 +128,10 @@ TEST(CoherenceConformance, MesiTransitionTable) {
       {"W1 X1", "R0", "E I I I", 1, 0, 0, 100},
       // Crash of one sharer leaves the other supplying the fill.
       {"R1 R2 X1", "W0", "M I I I", 1, 1, 0, 12},
+      // Sharers straddling a sharer-mask word: 65 processors put 64 alone
+      // in the second word.
+      {"W64", "R0", "0:S 64:S", 1, 0, 0, 112, 65},
+      {"W64 R0", "W0", "0:M", 0, 1, 0, 2, 65},
   });
 }
 
@@ -139,6 +154,9 @@ TEST(CoherenceConformance, MesifTransitionTable) {
       {"R0", "W0", "M I I I", 0, 0, 0, 0},
       // Write miss invalidates S and F copies alike.
       {"R1 R2", "W3", "I I I M", 1, 2, 0, 12},
+      // Sharers straddling a sharer-mask word.
+      {"W64", "R0", "0:F 64:S", 1, 0, 0, 112, 65},
+      {"W64 R0", "W0", "0:M", 0, 1, 0, 2, 65},
   });
 }
 
@@ -158,6 +176,9 @@ TEST(CoherenceConformance, MoesiTransitionTable) {
       // A crashing O holder flushes; the surviving S copy supplies.
       {"W1 R0 X1", "R2", "S I S I", 1, 0, 0, 12},
       {"W1 X1", "R0", "E I I I", 1, 0, 0, 100},
+      // Sharers straddling a sharer-mask word.
+      {"W64", "R0", "0:S 64:O", 1, 0, 0, 12, 65},
+      {"W64 R0", "W0", "0:M", 0, 1, 0, 2, 65},
   });
 }
 
@@ -184,6 +205,9 @@ TEST(CoherenceConformance, DragonTransitionTable) {
       {"R1 R0 X1", "W0", "M I I I", 0, 0, 0, 2},
       // Dirty crash flushes, cold refill takes E.
       {"W1 X1", "R0", "E I I I", 1, 0, 0, 100},
+      // Sharers straddling a sharer-mask word.
+      {"W64", "R0", "0:Sc 64:Sm", 1, 0, 0, 12, 65},
+      {"W64 R0", "W0", "0:Sm 64:Sc", 0, 0, 1, 2, 65},
   });
 }
 
@@ -221,6 +245,60 @@ TEST(CoherenceConformance, CycleLogRecordsPerEventCharges) {
   cache->access(1, kVar, /*write=*/false);  // M hit
   const std::vector<std::uint64_t> expected = {100, 12, 2, 0};
   EXPECT_EQ(cache->cycle_log(), expected);
+}
+
+// MESI with one planted bug, to show check_invariants reports it. The
+// sharer mask is a cache of the per-processor states that every mask walk
+// trusts, so a bit that drifts either way is a violation; a valid copy left
+// at an old version is the stale-copy violation, mask or no mask.
+class BuggyMesi final : public MesiCache {
+ public:
+  enum class Bug { kDropReaderBit, kPhantomBit, kStaleSharer };
+  BuggyMesi(int nprocs, Bug bug) : MesiCache(nprocs), bug_(bug) {}
+
+ protected:
+  void read(Line& l, ProcId p) override {
+    MesiCache::read(l, p);
+    if (bug_ == Bug::kDropReaderBit) mask_clear(l.valid, p);
+    if (bug_ == Bug::kPhantomBit) mask_set(l.valid, nprocs_ - 1);
+  }
+  void write(Line& l, ProcId p) override {
+    MesiCache::write(l, p);
+    if (bug_ != Bug::kStaleSharer) return;
+    // Resurrects the last processor's invalidated copy without a refill.
+    const ProcId q = nprocs_ - 1;
+    l.st[q] = LineState::kShared;
+    mask_set(l.valid, q);
+  }
+
+ private:
+  Bug bug_;
+};
+
+TEST(CoherenceConformance, InvariantsCatchMaskDriftAndStaleCopies) {
+  for (const int n : {kProcs, 65}) {
+    SCOPED_TRACE("nprocs " + std::to_string(n));
+    BuggyMesi dropped(n, BuggyMesi::Bug::kDropReaderBit);
+    dropped.access(n - 1, kVar, /*write=*/false);
+    auto viol = dropped.check_invariants();
+    ASSERT_TRUE(viol.has_value());
+    EXPECT_NE(viol->find("sharer mask out of sync"), std::string::npos)
+        << *viol;
+
+    BuggyMesi phantom(n, BuggyMesi::Bug::kPhantomBit);
+    phantom.access(0, kVar, /*write=*/false);
+    viol = phantom.check_invariants();
+    ASSERT_TRUE(viol.has_value());
+    EXPECT_NE(viol->find("sharer mask out of sync"), std::string::npos)
+        << *viol;
+
+    BuggyMesi stale(n, BuggyMesi::Bug::kStaleSharer);
+    stale.access(n - 1, kVar, /*write=*/false);
+    stale.access(0, kVar, /*write=*/true);
+    viol = stale.check_invariants();
+    ASSERT_TRUE(viol.has_value());
+    EXPECT_NE(viol->find("stale valid copy"), std::string::npos) << *viol;
+  }
 }
 
 // make_protocol rejects unknown names instead of guessing.

@@ -161,21 +161,32 @@ void expect_relations(World& w, bool crashed) {
   }
 }
 
+// Process counts for the random-trace suites: the small one they were
+// written for, plus one full sharer-mask word (64), one past it (65), and
+// three words (130), so mask walks and popcounts cross word boundaries.
+constexpr int kProcCounts[] = {6, 64, 65, 130};
+
 TEST(CoherenceDifferential, CrossProtocolRelationsOnRandomTraces) {
-  for (const std::uint64_t seed : {1u, 2u, 3u, 4u, 5u}) {
-    World w(/*nprocs=*/6, /*nvars=*/3);
-    drive_random(w, seed, /*steps=*/250, /*crashes=*/false);
-    SCOPED_TRACE("seed " + std::to_string(seed));
-    expect_relations(w, /*crashed=*/false);
+  for (const int n : kProcCounts) {
+    for (const std::uint64_t seed : {1u, 2u, 3u, 4u, 5u}) {
+      World w(n, /*nvars=*/3);
+      drive_random(w, seed, /*steps=*/250, /*crashes=*/false);
+      SCOPED_TRACE("nprocs " + std::to_string(n) + " seed " +
+                   std::to_string(seed));
+      expect_relations(w, /*crashed=*/false);
+    }
   }
 }
 
 TEST(CoherenceDifferential, CrossProtocolRelationsSurviveCrashes) {
-  for (const std::uint64_t seed : {11u, 12u, 13u}) {
-    World w(/*nprocs=*/6, /*nvars=*/3);
-    drive_random(w, seed, /*steps=*/250, /*crashes=*/true);
-    SCOPED_TRACE("seed " + std::to_string(seed));
-    expect_relations(w, /*crashed=*/true);
+  for (const int n : kProcCounts) {
+    for (const std::uint64_t seed : {11u, 12u, 13u}) {
+      World w(n, /*nvars=*/3);
+      drive_random(w, seed, /*steps=*/250, /*crashes=*/true);
+      SCOPED_TRACE("nprocs " + std::to_string(n) + " seed " +
+                   std::to_string(seed));
+      expect_relations(w, /*crashed=*/true);
+    }
   }
 }
 
@@ -329,23 +340,36 @@ TEST(WriteBufferTest, CoalescesStoresAndForwardsOwnReads) {
 }
 
 TEST(WriteBufferTest, CrossProcessorConflictDrainsBeforeTheAccess) {
-  RecordingListener rec;
-  WriteBuffer wb(&rec, /*nprocs=*/2, /*capacity=*/4);
-  wb.on_event(make_event(0, 7, OpType::kWrite));
-  EXPECT_TRUE(rec.events.empty());
+  // {nprocs, holder, accessor}: the last three put the two processors in
+  // different words of the buffer's holder mask.
+  struct Case {
+    int nprocs;
+    ProcId holder;
+    ProcId accessor;
+  };
+  for (const Case c : {Case{2, 0, 1}, Case{65, 64, 0}, Case{130, 0, 129},
+                       Case{130, 129, 64}}) {
+    SCOPED_TRACE("nprocs " + std::to_string(c.nprocs) + " holder " +
+                 std::to_string(c.holder));
+    RecordingListener rec;
+    WriteBuffer wb(&rec, c.nprocs, /*capacity=*/4);
+    wb.on_event(make_event(c.holder, 7, OpType::kWrite));
+    EXPECT_TRUE(rec.events.empty());
 
-  // p1 touches the same variable: p0's buffered store must become visible
-  // first, then p1's read reaches the protocol.
-  wb.on_event(make_event(1, 7, OpType::kRead));
-  ASSERT_EQ(rec.events.size(), 2u);
-  EXPECT_EQ(rec.events[0].proc, 0);
-  EXPECT_EQ(rec.events[0].op, OpType::kWrite);
-  EXPECT_EQ(rec.events[1].proc, 1);
-  EXPECT_EQ(rec.events[1].op, OpType::kRead);
+    // The accessor touches the same variable: the holder's buffered store
+    // must become visible first, then the accessor's read reaches the
+    // protocol.
+    wb.on_event(make_event(c.accessor, 7, OpType::kRead));
+    ASSERT_EQ(rec.events.size(), 2u);
+    EXPECT_EQ(rec.events[0].proc, c.holder);
+    EXPECT_EQ(rec.events[0].op, OpType::kWrite);
+    EXPECT_EQ(rec.events[1].proc, c.accessor);
+    EXPECT_EQ(rec.events[1].op, OpType::kRead);
 
-  // A read of an unrelated variable passes straight through.
-  wb.on_event(make_event(1, 8, OpType::kRead));
-  EXPECT_EQ(rec.events.size(), 3u);
+    // A read of an unrelated variable passes straight through.
+    wb.on_event(make_event(c.accessor, 8, OpType::kRead));
+    EXPECT_EQ(rec.events.size(), 3u);
+  }
 }
 
 TEST(WriteBufferTest, AtomicsAreAFullBarrierForTheIssuer) {
@@ -391,33 +415,35 @@ TEST(WriteBufferTest, CrashDrainsThenPowersDown) {
 // eventually drained, and the protocol sees exactly the applied ops minus
 // coalesced stores and forwarded reads.
 TEST(WriteBufferTest, FleetBehindBufferConservesEventsAndInvariants) {
-  const int n = 4;
-  World w(n, /*nvars=*/3, /*write_buffer=*/4);
-  const WriteBuffer& wb = *w.fleet.write_buffer();
+  for (const int n : {4, 64, 65, 130}) {
+    SCOPED_TRACE("nprocs " + std::to_string(n));
+    World w(n, /*nvars=*/3, /*write_buffer=*/4);
+    const WriteBuffer& wb = *w.fleet.write_buffer();
 
-  SplitMix64 rng(7);
-  std::uint64_t applied = 0;
-  for (int i = 0; i < 300; ++i) {
-    const auto p = static_cast<ProcId>(rng.below(n));
-    const VarId v = w.vars[rng.below(w.vars.size())];
-    if (rng.chance(1, 2)) {
-      w.mem->apply(p, MemOp::write(v, static_cast<Word>(rng.below(4))));
-    } else {
-      w.mem->apply(p, MemOp::read(v));
+    SplitMix64 rng(7);
+    std::uint64_t applied = 0;
+    for (int i = 0; i < 300; ++i) {
+      const auto p = static_cast<ProcId>(rng.below(n));
+      const VarId v = w.vars[rng.below(w.vars.size())];
+      if (rng.chance(1, 2)) {
+        w.mem->apply(p, MemOp::write(v, static_cast<Word>(rng.below(4))));
+      } else {
+        w.mem->apply(p, MemOp::read(v));
+      }
+      ++applied;
     }
-    ++applied;
-  }
-  w.fleet.flush();
-  EXPECT_EQ(wb.drained_writes(), wb.buffered_writes());
-  ASSERT_EQ(w.fleet.check_invariants(), std::nullopt);
+    w.fleet.flush();
+    EXPECT_EQ(wb.drained_writes(), wb.buffered_writes());
+    ASSERT_EQ(w.fleet.check_invariants(), std::nullopt);
 
-  // Event conservation at the protocol boundary: the bus counter ticks
-  // once per event it sees, all of which are RMRs here (write-through CC,
-  // and reads that would be local hits were absorbed by the buffer or the
-  // schedule's own locality).
-  const std::uint64_t seen = w.fleet.bus().transfer_messages();
-  EXPECT_LE(seen + wb.coalesced_writes() + wb.forwarded_reads(), applied);
-  EXPECT_GT(seen, 0u);
+    // Event conservation at the protocol boundary: the bus counter ticks
+    // once per event it sees, all of which are RMRs here (write-through
+    // CC, and reads that would be local hits were absorbed by the buffer
+    // or the schedule's own locality).
+    const std::uint64_t seen = w.fleet.bus().transfer_messages();
+    EXPECT_LE(seen + wb.coalesced_writes() + wb.forwarded_reads(), applied);
+    EXPECT_GT(seen, 0u);
+  }
 }
 
 }  // namespace

@@ -171,10 +171,12 @@ bool print_protocol_fleet(const ProtocolFleet& fleet) {
   std::fputs(t.render().c_str(), stdout);
   if (const WriteBuffer* wb = fleet.write_buffer()) {
     std::printf(
-        "write buffer: %llu buffered, %llu coalesced, %llu reads forwarded\n",
+        "write buffer: %llu buffered, %llu coalesced, %llu reads forwarded, "
+        "%llu drained\n",
         static_cast<unsigned long long>(wb->buffered_writes()),
         static_cast<unsigned long long>(wb->coalesced_writes()),
-        static_cast<unsigned long long>(wb->forwarded_reads()));
+        static_cast<unsigned long long>(wb->forwarded_reads()),
+        static_cast<unsigned long long>(wb->drained_writes()));
   }
   return ok;
 }
