@@ -1,9 +1,8 @@
-// Plain-text table rendering for benchmark harnesses.
+// Plain-text table rendering for the CLI.
 //
-// Every experiment binary in bench/ regenerates one of the paper's complexity
-// claims as a table or series (DESIGN.md Section 3). This helper renders
-// aligned ASCII tables so EXPERIMENTS.md rows can be pasted directly from
-// bench output.
+// `rmrsim_cli sweep` regenerates each of the paper's complexity claims as a
+// table (DESIGN.md Section 3). This helper renders aligned ASCII tables so
+// EXPERIMENTS.md rows can be pasted directly from its output.
 #pragma once
 
 #include <string>

@@ -178,21 +178,4 @@ MutexRunOutcome run_mutex_workload(const MutexRunOptions& opt) {
   return out;
 }
 
-MutexSeedStats run_mutex_seeds(const MutexRunOptions& opt,
-                               std::uint64_t first_seed, int n_seeds) {
-  MutexSeedStats stats;
-  double total = 0;
-  for (int i = 0; i < n_seeds; ++i) {
-    MutexRunOptions per_run = opt;
-    per_run.seed = first_seed + static_cast<std::uint64_t>(i);
-    const MutexRunOutcome o = run_mutex_workload(per_run);
-    ++stats.runs;
-    if (!o.completed) ++stats.incomplete;
-    if (o.violation.has_value()) ++stats.violations;
-    total += o.rmrs_per_passage;
-  }
-  stats.mean_rmrs_per_passage = stats.runs > 0 ? total / stats.runs : 0.0;
-  return stats;
-}
-
 }  // namespace rmrsim

@@ -1,12 +1,11 @@
 // Shared experiment drivers.
 //
-// One copy of the glue every bench and CLI command used to re-implement:
-// name → model/algorithm/lock construction, recoverable-aware mutex
-// program wiring, and the build/run/aggregate loops for mutex workloads.
-// bench_timing, bench_e9_crash, and the CLI's mutex/explore commands all
-// route through here; sweep experiments reuse the same factories so a
-// SweepPoint's model/algorithm strings mean exactly what the CLI flags
-// mean.
+// One copy of the glue the CLI commands and the experiment registry would
+// otherwise each re-implement: name → model/algorithm/lock construction,
+// recoverable-aware mutex program wiring, and the build/run loop for mutex
+// workloads. The CLI's mutex/explore commands and the sweep experiments
+// use the same factories, so a SweepPoint's model/algorithm strings mean
+// exactly what the CLI flags mean.
 #pragma once
 
 #include <cstdint>
@@ -99,18 +98,5 @@ struct MutexRunOutcome {
 /// Builds a world, runs it under the scheduler/fault plan the options
 /// select, and checks mutual exclusion.
 MutexRunOutcome run_mutex_workload(const MutexRunOptions& opt);
-
-struct MutexSeedStats {
-  int runs = 0;
-  int violations = 0;
-  int incomplete = 0;
-  double mean_rmrs_per_passage = 0;
-};
-
-/// Runs seeds first_seed .. first_seed + n_seeds - 1 (each overriding
-/// opt.seed) and aggregates — the loop bench_timing's tables are built
-/// from.
-MutexSeedStats run_mutex_seeds(const MutexRunOptions& opt,
-                               std::uint64_t first_seed, int n_seeds);
 
 }  // namespace rmrsim

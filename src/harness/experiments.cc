@@ -568,6 +568,11 @@ SeriesDecl decl(std::string metric, std::string model, std::string algorithm,
       expected};
 }
 
+/// Table columns shared by the signaling-workload experiments (E1, E3).
+std::vector<std::string> signaling_columns() {
+  return {"rmrs.max_waiter", "rmrs.signaler", "rmrs.amortized", "spec.ok"};
+}
+
 std::vector<Experiment> build_experiments() {
   std::vector<Experiment> out;
 
@@ -580,7 +585,8 @@ std::vector<Experiment> build_experiments() {
        decl("rmrs.max_waiter", "dsm", "flag-spin-n", Expectation::kOmegaW),
        decl("rmrs.amortized", "dsm", "flag-spin-n", Expectation::kOmegaW),
        decl("rmrs.max_waiter", "dsm", "flag-delay64"),
-       decl("rmrs.signaler", "dsm", "flag-delay64")}});
+       decl("rmrs.signaler", "dsm", "flag-delay64")},
+      signaling_columns()});
 
   out.push_back(Experiment{
       "e2", "Theorem 6.2: forced amortized RMRs in DSM vs the CC control",
@@ -589,7 +595,9 @@ std::vector<Experiment> build_experiments() {
        decl("adv.amortized", "dsm", "fixed-waiters", Expectation::kOmegaW),
        decl("adv.amortized", "dsm", "flag-dsm", Expectation::kOmegaW),
        decl("adv.amortized", "dsm", "flag-cc-control", Expectation::kO1),
-       decl("adv.signaler_rmrs", "dsm", "registration")}});
+       decl("adv.signaler_rmrs", "dsm", "registration")},
+      {"adv.stabilized", "adv.stable_waiters", "adv.signaler_rmrs",
+       "adv.participants", "adv.amortized", "spec.ok"}});
 
   out.push_back(Experiment{
       "e3", "Section 7 signaling-variant taxonomy",
@@ -599,7 +607,8 @@ std::vector<Experiment> build_experiments() {
        decl("rmrs.amortized", "dsm", "fixed-terminating", Expectation::kO1),
        decl("rmrs.signaler", "dsm", "fixed-wait-free", Expectation::kThetaN),
        decl("rmrs.max_waiter", "cc", "flag", Expectation::kO1),
-       decl("rmrs.signaler", "dsm", "registration")}});
+       decl("rmrs.signaler", "dsm", "registration")},
+      signaling_columns()});
 
   out.push_back(Experiment{
       "e4", "Section 8 message accounting under CC coherence protocols",
@@ -607,7 +616,12 @@ std::vector<Experiment> build_experiments() {
       {decl("msgs.bus.per_rmr", "cc", "flag-half-idle", Expectation::kO1),
        decl("msgs.ideal.per_rmr", "cc", "flag-half-idle", Expectation::kO1),
        decl("msgs.ideal.per_rmr", "cc", "ping-pong", Expectation::kO1),
-       decl("msgs.coarse.per_rmr", "cc", "ping-pong", Expectation::kOmegaW)}});
+       decl("msgs.coarse.per_rmr", "cc", "ping-pong", Expectation::kOmegaW)},
+      {"ledger.total_rmrs", "msgs.bus-broadcast.total",
+       "msgs.ideal-directory.total", "msgs.ideal-directory.invalidations",
+       "msgs.coarse-directory.total", "msgs.coarse-directory.invalidations",
+       "msgs.coarse-directory.superfluous", "msgs.ideal.per_rmr",
+       "msgs.coarse.per_rmr", "run.completed"}});
 
   // One E4 replica per fleet protocol, each with its own artifact
   // (BENCH_e4_<protocol>.json) and its own fitter gates: messages-per-RMR
@@ -628,7 +642,10 @@ std::vector<Experiment> build_experiments() {
          decl("cycles." + proto + ".per_rmr", "cc", "ping-pong",
               Expectation::kO1),
          decl("protocol.invariants_ok", "cc", "flag-half-idle"),
-         decl("protocol.invariants_ok", "cc", "ping-pong")}});
+         decl("protocol.invariants_ok", "cc", "ping-pong")},
+        {"ledger.total_rmrs", "msgs." + proto + ".total",
+         "msgs." + proto + ".per_rmr", "cycles." + proto + ".total",
+         "cycles." + proto + ".per_rmr", "protocol.invariants_ok"}});
   }
 
   out.push_back(Experiment{
@@ -646,7 +663,8 @@ std::vector<Experiment> build_experiments() {
        decl("rmrs.per_passage", "dsm", "bakery"),
        decl("rmrs.per_passage", "cc", "bakery"),
        decl("rmrs.per_passage", "dsm", "peterson"),
-       decl("rmrs.per_passage", "cc", "peterson")}});
+       decl("rmrs.per_passage", "cc", "peterson")},
+      {"rmrs.per_passage", "run.completed", "spec.ok"}});
 
   out.push_back(Experiment{
       "e6", "Corollary 6.14: the CAS transformation gives no escape",
@@ -654,13 +672,20 @@ std::vector<Experiment> build_experiments() {
       {decl("adv.amortized", "dsm", "rw-cas-transformed",
             Expectation::kOmegaW),
        decl("adv.amortized", "dsm", "cas-raw"),
-       decl("adv.in_scope", "dsm", "cas-raw")}});
+       decl("adv.in_scope", "dsm", "cas-raw")},
+      {"adv.in_scope", "adv.stabilized", "adv.stable_waiters",
+       "adv.signaler_rmrs", "adv.participants", "adv.amortized",
+       "spec.ok"}});
 
   out.push_back(Experiment{
       "e7", "Definition 6.9 invariants along the part-1 construction",
       e7_spec(), e7_runner,
       {decl("adv.invariants_ok", "dsm", "registration", Expectation::kO1),
-       decl("adv.amortized", "dsm", "registration")}});
+       decl("adv.amortized", "dsm", "registration")},
+      // The per-round series (adv.*_by_round) stay in the artifact.
+      {"adv.rounds", "adv.stabilized", "adv.invariants_ok",
+       "adv.signaler_rmrs", "adv.participants", "adv.amortized",
+       "spec.ok"}});
 
   out.push_back(Experiment{
       "e8", "CC policy ablation: flag signaling and the TAS lock",
@@ -678,14 +703,22 @@ std::vector<Experiment> build_experiments() {
        decl("cycles.moesi.amortized", "cc", "flag", Expectation::kO1),
        decl("cycles.dragon.amortized", "cc", "flag", Expectation::kO1),
        decl("cycles.mesi.amortized", "cc", "tas"),
-       decl("cycles.dragon.amortized", "cc", "tas")}});
+       decl("cycles.dragon.amortized", "cc", "tas")},
+      {"rmrs.max_waiter", "rmrs.amortized", "rmrs.per_passage",
+       "cycles.mesi.amortized", "cycles.mesif.amortized",
+       "cycles.moesi.amortized", "cycles.dragon.amortized",
+       "protocol.invariants_ok", "run.completed", "spec.ok"}});
 
   out.push_back(Experiment{
       "e9", "Crash/recovery: RMR cost of the recoverable lock under faults",
       e9_spec(), e9_runner,
       // N is fixed (the sweep axis is the fault plan), so there is no
-      // growth series to fit — the artifact carries the raw points.
-      {}});
+      // growth series to fit — the artifact carries the raw points, and
+      // --check reads their verdicts.
+      {},
+      {"run.completed", "run.passages_done", "rmrs.per_exit",
+       "history.crashes", "history.recoveries", "crash.failed_recoveries",
+       "crash.fifo_inversions", "spec.ok"}});
 
   out.push_back(Experiment{
       "t1_synth", "Trace workloads: synthetic sharing patterns, N axis",
@@ -701,7 +734,8 @@ std::vector<Experiment> build_experiments() {
        decl("rmrs.per_op", "cc", "zipf"),
        decl("rmrs.per_op", "dsm", "zipf"),
        decl("rmrs.per_op", "cc", "migratory"),
-       decl("rmrs.per_op", "cc", "ring")}});
+       decl("rmrs.per_op", "cc", "ring")},
+      {"trace.ops", "ledger.total_rmrs", "rmrs.per_op"}});
 
   out.push_back(Experiment{
       "t1_scale", "Trace workloads: zipf trace-length scaling + fleet",
@@ -714,7 +748,10 @@ std::vector<Experiment> build_experiments() {
        decl("cycles.dragon.per_op", "cc", "zipf", Expectation::kO1),
        decl("msgs.mesi.per_op", "cc", "zipf"),
        decl("protocol.invariants_ok", "cc", "zipf"),
-       decl("protocol.invariants_ok", "dsm", "zipf")}});
+       decl("protocol.invariants_ok", "dsm", "zipf")},
+      {"ledger.total_rmrs", "rmrs.per_op", "cycles.mesi.per_op",
+       "cycles.moesi.per_op", "cycles.mesif.per_op", "cycles.dragon.per_op",
+       "protocol.invariants_ok"}});
 
   return out;
 }
@@ -767,7 +804,43 @@ bool artifact_matches(const BenchArtifact& artifact) {
   for (const FittedSeries& fs : artifact.series) {
     if (!fs.matches_expectation) return false;
   }
+  // A fit cannot see a verdict: a series stuck at 0 fits O(1) as well as
+  // one stuck at 1. So every 0/1 verdict a point carries must read 1.
+  // (adv.in_scope is a classification, not a verdict: e6's cas-raw rows
+  // are out of scope by design.)
+  static constexpr const char* kVerdicts[] = {
+      "spec.ok", "run.completed", "protocol.invariants_ok",
+      "adv.invariants_ok"};
+  for (const SweepPointResult& pr : artifact.result.points) {
+    for (const char* v : kVerdicts) {
+      if (pr.metrics.has_value(v) && pr.metrics.value(v) != 1.0) return false;
+    }
+  }
   return true;
+}
+
+std::string render_points_table(const Experiment& exp,
+                                const BenchArtifact& artifact) {
+  const bool show_plan = artifact.result.spec.fault_plans.size() > 1;
+  std::vector<std::string> header{"algorithm", "model", "N"};
+  if (show_plan) header.push_back("fault plan");
+  header.insert(header.end(), exp.columns.begin(), exp.columns.end());
+  TextTable t;
+  t.set_header(std::move(header));
+  for (const SweepPointResult& pr : artifact.result.points) {
+    std::vector<std::string> row{pr.point.algorithm, pr.point.model,
+                                 std::to_string(pr.point.n)};
+    if (show_plan) {
+      row.push_back(pr.point.fault_plan.empty() ? "none" : pr.point.fault_plan);
+    }
+    for (const std::string& c : exp.columns) {
+      row.push_back(pr.metrics.has_value(c)
+                        ? format_metric_number(pr.metrics.value(c))
+                        : "-");
+    }
+    t.add_row(std::move(row));
+  }
+  return t.render();
 }
 
 std::string render_fit_table(const BenchArtifact& artifact) {

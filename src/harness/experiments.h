@@ -5,9 +5,10 @@
 // MetricsRegistry), and the series the artifact must carry — some pinned
 // to the asymptotic class the paper claims (E1 flag-in-CC must fit O(1),
 // E2's forced amortized cost must fit super-constant, E5's Yang–Anderson
-// must fit Theta(log N), ...). `rmrsim_cli sweep`, the bench binaries, and
-// CI all run experiments from this one table, so the grid and the claims
-// live in exactly one place.
+// must fit Theta(log N), ...), plus the per-point metrics its table shows.
+// `rmrsim_cli sweep` is the one way to run an experiment, and CI runs
+// every entry through it, so the grid and the claims live in exactly one
+// place.
 #pragma once
 
 #include <optional>
@@ -32,6 +33,8 @@ struct Experiment {
   SweepSpec spec;
   PointRunner runner;
   std::vector<SeriesDecl> series;
+  /// Scalar metrics shown per point by render_points_table, in order.
+  std::vector<std::string> columns;
 };
 
 /// All registered experiments, in e1..e9 order.
@@ -42,23 +45,31 @@ const Experiment* find_experiment(const std::string& name);
 
 /// Runs the experiment's grid (capped at `max_n` when > 0) on `workers`
 /// threads, extracts and fits every declared series, and assembles the
-/// artifact. `generator` names the producing binary.
+/// artifact. `generator` names the producing command.
 BenchArtifact run_experiment(const Experiment& exp, int workers,
                              const std::string& generator, int max_n = 0);
 
 /// Fits `result` against the experiment's declared series (the tail of
-/// run_experiment, split out so benches can reuse a sweep they already
-/// ran).
+/// run_experiment, split out so a caller can time the fit apart from the
+/// sweep).
 BenchArtifact make_artifact(const Experiment& exp, SweepResult result,
                             const std::string& generator);
 
 /// True iff every series with a pinned expectation fitted a matching
-/// class — the `rmrsim_cli sweep --check` / CI gate.
+/// class and every point's verdict metrics (spec.ok, run.completed,
+/// protocol.invariants_ok, adv.invariants_ok — whichever it carries) are
+/// 1 — the `rmrsim_cli sweep --check` / CI gate.
 bool artifact_matches(const BenchArtifact& artifact);
 
+/// One row per point: algorithm / model / N, the fault plan when the grid
+/// has more than one, then each of `exp.columns` ("-" where the point does
+/// not carry the metric).
+std::string render_points_table(const Experiment& exp,
+                                const BenchArtifact& artifact);
+
 /// The fitted-series text table (metric / model / algorithm / fitted class
-/// / slope / expected / match) benches and the CLI both print. Empty
-/// string when the artifact has no series.
+/// / slope / expected / match). Empty string when the artifact has no
+/// series.
 std::string render_fit_table(const BenchArtifact& artifact);
 
 }  // namespace rmrsim

@@ -125,17 +125,4 @@ ExtractedSeries extract_series(const SweepResult& result,
   return out;
 }
 
-const SweepPointResult* find_point(const SweepResult& result,
-                                   const std::string& model,
-                                   const std::string& algorithm, int n,
-                                   const std::string& fault_plan) {
-  for (const SweepPointResult& pr : result.points) {
-    if (pr.point.model == model && pr.point.algorithm == algorithm &&
-        pr.point.n == n && pr.point.fault_plan == fault_plan) {
-      return &pr;
-    }
-  }
-  return nullptr;
-}
-
 }  // namespace rmrsim

@@ -91,11 +91,4 @@ struct ExtractedSeries {
 ExtractedSeries extract_series(const SweepResult& result,
                                const SeriesSelector& sel);
 
-/// First point matching (model, algorithm, n, fault_plan) — any seed;
-/// nullptr when absent. The lookup benches render their tables with.
-const SweepPointResult* find_point(const SweepResult& result,
-                                   const std::string& model,
-                                   const std::string& algorithm, int n,
-                                   const std::string& fault_plan = {});
-
 }  // namespace rmrsim

@@ -4,11 +4,12 @@
 // word (`owner`), so there is no crash window in which the shared state is
 // half-updated. Contrast MCS: its release is a multi-step queue handoff
 // (read next, CAS tail, write successor's flag), and a crash between those
-// steps strands the queue forever — bench_e9_crash demonstrates the
-// resulting system-wide deadlock. Here every crash leaves `owner` either
-// free, held by the victim (recovery CAS-releases it), or held by someone
-// else (recovery is a no-op), so the recovery section repairs any crash
-// point and is idempotent.
+// steps strands the queue forever — the CrashRecovery tests in
+// failure_test demonstrate the resulting system-wide deadlock, in DSM and
+// CC alike. Here every crash leaves `owner` either free, held by the
+// victim (recovery CAS-releases it), or held by someone else (recovery is
+// a no-op), so the recovery section repairs any crash point and is
+// idempotent.
 //
 // What this lock gives up: waiters spin with CAS on the one global word, so
 // a passage under contention is NOT O(1) RMRs in either model (each failed

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 
 #include "memory/cc_model.h"
 #include "memory/shared_memory.h"
@@ -239,8 +240,9 @@ TEST(CrashRecovery, CcModelDropsTheCrashedProcessesCache) {
 
 // ---- recoverable mutual exclusion ----------------------------------------
 
-/// Drives `victim` into its critical section, crashes it there, and runs
-/// everyone else. Returns the simulation for post-mortem inspection.
+/// Drives process 0 into its critical section under `model` ("dsm" or
+/// "cc"), crashes it there, and runs everyone else. Returns the simulation
+/// for post-mortem inspection.
 struct CrashInCsRun {
   std::unique_ptr<SharedMemory> mem;
   std::unique_ptr<Simulation> sim;
@@ -248,9 +250,10 @@ struct CrashInCsRun {
 };
 
 template <typename Lock>
-CrashInCsRun crash_in_cs(int nprocs, int passages, bool recover_victim) {
+CrashInCsRun crash_in_cs(const std::string& model, int nprocs, int passages,
+                         bool recover_victim) {
   CrashInCsRun r;
-  r.mem = make_dsm(nprocs);
+  r.mem = model == "cc" ? make_cc(nprocs) : make_dsm(nprocs);
   auto lock = std::make_shared<Lock>(*r.mem);
   std::vector<VarId> done;
   for (int p = 0; p < nprocs; ++p) {
@@ -291,30 +294,38 @@ CrashInCsRun crash_in_cs(int nprocs, int passages, bool recover_victim) {
 
 TEST(CrashRecovery, McsDeadlocksAfterCrashInCriticalSection) {
   // MCS has no recovery section: the crashed holder never signals its
-  // successor, so every other process spins forever. This is the contrast
-  // case for the recoverable lock below.
-  auto r = crash_in_cs<McsLock>(4, 3, /*recover_victim=*/false);
-  EXPECT_FALSE(r.others_completed)
-      << "MCS should deadlock after a crash in the CS";
-  // Nobody past the victim's first passage: total completed passages stall.
-  int total = 0;
-  for (ProcId p = 1; p < 4; ++p) {
-    total += passages_completed(r.sim->history(), p);
+  // successor, so every other process spins forever — in DSM and CC
+  // alike. This is the contrast case for the recoverable lock below.
+  for (const char* model : {"dsm", "cc"}) {
+    SCOPED_TRACE(model);
+    auto r = crash_in_cs<McsLock>(model, 4, 3, /*recover_victim=*/false);
+    EXPECT_FALSE(r.others_completed)
+        << "MCS should deadlock after a crash in the CS";
+    // Nobody past the victim's first passage: total completed passages
+    // stall.
+    int total = 0;
+    for (ProcId p = 1; p < 4; ++p) {
+      total += passages_completed(r.sim->history(), p);
+    }
+    EXPECT_EQ(total, 0) << "the crashed holder should wedge the whole queue";
   }
-  EXPECT_EQ(total, 0) << "the crashed holder should wedge the whole queue";
 }
 
 TEST(CrashRecovery, RecoverableLockCompletesDespiteCrashInCriticalSection) {
   // Same crash point, but the recoverable lock's recovery section releases
   // the orphaned hold, and the other processes finish all their passages.
-  // Mutual exclusion must hold on the crashy history.
-  auto r = crash_in_cs<RecoverableSpinLock>(4, 3, /*recover_victim=*/true);
-  EXPECT_TRUE(r.others_completed)
-      << "recoverable lock must make progress after the crash";
-  const auto report = analyze_crash_run(r.sim->history());
-  EXPECT_TRUE(report.mutual_exclusion_ok);
-  EXPECT_EQ(report.crashes, 1);
-  EXPECT_EQ(report.recoveries, 1);
+  // Mutual exclusion must hold on the crashy history, in both models.
+  for (const char* model : {"dsm", "cc"}) {
+    SCOPED_TRACE(model);
+    auto r = crash_in_cs<RecoverableSpinLock>(model, 4, 3,
+                                              /*recover_victim=*/true);
+    EXPECT_TRUE(r.others_completed)
+        << "recoverable lock must make progress after the crash";
+    const auto report = analyze_crash_run(r.sim->history());
+    EXPECT_TRUE(report.mutual_exclusion_ok);
+    EXPECT_EQ(report.crashes, 1);
+    EXPECT_EQ(report.recoveries, 1);
+  }
 }
 
 /// Fresh-world builder for crash sweeps over a recoverable-lock config.

@@ -6,6 +6,7 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdlib>
 #include <filesystem>
@@ -260,23 +261,6 @@ TEST(Sweep, ExtractSeriesDedupesRepeatedNs) {
   EXPECT_NO_THROW(fit_growth_class(es.xs, es.ys));
 }
 
-TEST(Sweep, FindPointMatchesAllAxes) {
-  const SweepSpec s = two_by_everything_spec();
-  const SweepResult r = run_sweep(s, synthetic_runner, 1);
-  const SweepPointResult* pr = find_point(r, "cc", "b", 16);
-  ASSERT_NE(pr, nullptr);
-  EXPECT_EQ(pr->point.model, "cc");
-  EXPECT_EQ(pr->point.algorithm, "b");
-  EXPECT_EQ(pr->point.n, 16);
-  EXPECT_EQ(pr->point.fault_plan, "");
-  EXPECT_EQ(find_point(r, "cc", "nope", 16), nullptr);
-  EXPECT_EQ(find_point(r, "cc", "b", 999), nullptr);
-  const SweepPointResult* faulty =
-      find_point(r, "dsm", "a", 8, "random:rate=0.01");
-  ASSERT_NE(faulty, nullptr);
-  EXPECT_EQ(faulty->point.fault_plan, "random:rate=0.01");
-}
-
 // ---- artifact writer ----------------------------------------------------
 
 TEST(Artifact, JsonIsSchemaVersionedAndOmitsWallTimeOnRequest) {
@@ -394,21 +378,6 @@ TEST(Drive, MutexWorkloadRunsCleanUnderEachScheduler) {
   EXPECT_TRUE(run_mutex_workload(opt).completed);
 }
 
-TEST(Drive, SeedSweepAggregates) {
-  MutexRunOptions opt;
-  opt.model = "cc";
-  opt.nprocs = 3;
-  opt.passages = 2;
-  opt.gap_delta = 8;
-  opt.max_steps = 10'000'000;
-  opt.make_lock = lock_factory_by_name("ticket");
-  const MutexSeedStats stats = run_mutex_seeds(opt, 1, 5);
-  EXPECT_EQ(stats.runs, 5);
-  EXPECT_EQ(stats.violations, 0);
-  EXPECT_EQ(stats.incomplete, 0);
-  EXPECT_GT(stats.mean_rmrs_per_passage, 0.0);
-}
-
 // ---- reduced experiment runs (the CI gate, in-process) ------------------
 
 TEST(Experiments, RegistryHasAllNineAndLookupWorks) {
@@ -425,6 +394,71 @@ TEST(Experiments, RegistryHasAllNineAndLookupWorks) {
               find_experiment("e4")->spec.ns);
   }
   EXPECT_EQ(find_experiment("e99"), nullptr);
+}
+
+TEST(Experiments, EveryEntryDeclaresTableColumns) {
+  for (const Experiment& e : all_experiments()) {
+    EXPECT_FALSE(e.columns.empty()) << e.name;
+  }
+}
+
+/// A three-point experiment whose `cost` series fits its pinned O(1) at
+/// every point, and whose runner also reports `verdict` = `value`.
+Experiment verdict_experiment(const std::string& verdict, double value) {
+  Experiment exp;
+  exp.name = "verdict";
+  exp.spec.name = "verdict";
+  exp.spec.ns = {8, 16, 32};
+  exp.runner = [verdict, value](const SweepPoint&) {
+    MetricsRegistry reg;
+    reg.set("cost", 3.0);
+    reg.set(verdict, value);
+    return reg;
+  };
+  exp.series = {
+      SeriesDecl{SeriesSelector{"cost", "dsm", ""}, Expectation::kO1}};
+  return exp;
+}
+
+TEST(Experiments, CheckFailsOnAViolatedVerdict) {
+  // The fit passes either way; a verdict of 0 must still fail the gate,
+  // since a series stuck at 0 fits O(1) as well as one stuck at 1.
+  EXPECT_TRUE(artifact_matches(
+      run_experiment(verdict_experiment("spec.ok", 1.0), 1, "harness_test")));
+  for (const char* v : {"spec.ok", "run.completed", "protocol.invariants_ok",
+                        "adv.invariants_ok"}) {
+    const BenchArtifact a =
+        run_experiment(verdict_experiment(v, 0.0), 1, "harness_test");
+    ASSERT_EQ(a.series.size(), 1u);
+    EXPECT_TRUE(a.series[0].matches_expectation) << v;
+    EXPECT_FALSE(artifact_matches(a)) << v;
+  }
+  // adv.in_scope classifies a point; it is not a verdict.
+  EXPECT_TRUE(artifact_matches(run_experiment(
+      verdict_experiment("adv.in_scope", 0.0), 1, "harness_test")));
+}
+
+TEST(Experiments, PointsTableShowsDeclaredColumns) {
+  Experiment exp = verdict_experiment("spec.ok", 1.0);
+  exp.columns = {"cost", "absent"};
+  const std::string one_plan =
+      render_points_table(exp, run_experiment(exp, 1, "harness_test"));
+  EXPECT_EQ(one_plan.find("fault plan"), std::string::npos);
+
+  exp.spec.fault_plans = {"", "random:rate=0.01"};
+  const std::string table =
+      render_points_table(exp, run_experiment(exp, 1, "harness_test"));
+  // Header, rule, then one row per point (3 Ns x 2 fault plans).
+  EXPECT_EQ(std::count(table.begin(), table.end(), '\n'), 2 + 6) << table;
+  const std::string header = table.substr(0, table.find('\n'));
+  for (const char* col :
+       {"algorithm", "model", "N", "fault plan", "cost", "absent"}) {
+    EXPECT_NE(header.find(col), std::string::npos) << col;
+  }
+  EXPECT_NE(table.find("random:rate=0.01"), std::string::npos);
+  EXPECT_NE(table.find("none"), std::string::npos);
+  // A column the point does not carry renders as "-", not as 0.
+  EXPECT_NE(table.find("3     -\n"), std::string::npos) << table;
 }
 
 TEST(Experiments, ReducedE1MatchesPaperClasses) {

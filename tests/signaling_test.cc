@@ -150,7 +150,7 @@ TEST(SignalingLiveness, EveryWaiterEventuallyReturnsTrue) {
 
 // ---------------------------------------------------------------------------
 // RMR complexity shapes (the paper's Sections 5 and 7 claims in miniature;
-// the full sweeps live in bench/).
+// the full sweeps are the registry experiments `rmrsim_cli sweep` runs).
 // ---------------------------------------------------------------------------
 
 TEST(RmrShape, CcFlagIsO1PerProcessInCc) {
@@ -220,6 +220,44 @@ TEST(RmrShape, DsmQueueAmortizedO1) {
   // Waiter: FAI + announce + S read = 3; signaler: 1 + ~2 per waiter
   // (announcement read + delivery). Comfortably constant amortized.
   EXPECT_LE(amortized, 6.0);
+}
+
+TEST(RmrShape, DsmFixedWaitersSparseParticipationDefeatsAmortizedO1) {
+  // Section 7, fixed-waiters paragraph: the wait-free signaler writes all
+  // W fixed waiters' flags whoever participates, so when only k of them
+  // show up its W RMRs are shared by k + 1 participants — amortized O(1)
+  // is out of reach for wait-free solutions with sparse participation.
+  const int kW = 64;
+  double prev_amortized = 0;
+  for (const int k : {64, 16, 4, 1}) {
+    auto mem = make_dsm(kW + 1);
+    std::vector<ProcId> ws;
+    for (int i = 0; i < kW; ++i) ws.push_back(i);
+    DsmFixedWaitersSignal alg(*mem, std::move(ws));
+    std::vector<Program> programs;
+    for (int i = 0; i < kW; ++i) {
+      if (i < k) {
+        programs.emplace_back(
+            [&alg](ProcCtx& ctx) { return polling_waiter(ctx, &alg, 10'000); });
+      } else {
+        programs.emplace_back(Program{});  // fixed but never participates
+      }
+    }
+    programs.emplace_back([&alg](ProcCtx& ctx) { return signaler(ctx, &alg); });
+    Simulation sim(*mem, std::move(programs));
+    RoundRobinScheduler rr;
+    ASSERT_TRUE(sim.run(rr, 10'000'000).all_terminated) << "k=" << k;
+    expect_spec_holds(sim.history());
+    EXPECT_EQ(mem->ledger().rmrs(kW), static_cast<std::uint64_t>(kW))
+        << "k=" << k;
+    const double amortized =
+        static_cast<double>(mem->ledger().total_rmrs()) /
+        static_cast<double>(sim.history().participants().size());
+    EXPECT_GT(amortized, prev_amortized) << "k=" << k;
+    prev_amortized = amortized;
+  }
+  // One participating waiter: the signaler's W RMRs split two ways.
+  EXPECT_GE(prev_amortized, kW / 2.0);
 }
 
 // ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 
 #include "memory/shared_memory.h"
 #include "mutex/fischer_lock.h"
@@ -84,22 +85,30 @@ TEST(BoundedGap, NoReadyProcessStarvesPastDelta) {
 struct FischerRun {
   bool completed = false;
   bool violated = false;
+  double rmrs_per_passage = 0;
 };
 
-FischerRun run_fischer(int n, Word lock_delay, std::uint64_t delta,
-                       std::uint64_t seed) {
-  auto mem = make_dsm(n);
+constexpr int kFischerPassages = 3;
+
+/// n workers x kFischerPassages passages of Fischer's lock under `model`
+/// ("dsm" or "cc") and a Delta-scheduler.
+FischerRun run_fischer(const std::string& model, int n, Word lock_delay,
+                       std::uint64_t delta, std::uint64_t seed) {
+  auto mem = model == "cc" ? make_cc(n) : make_dsm(n);
   FischerLock lock(*mem, lock_delay);
   std::vector<Program> programs;
   for (int i = 0; i < n; ++i) {
-    programs.emplace_back(
-        [&lock](ProcCtx& ctx) { return mutex_worker(ctx, &lock, 3); });
+    programs.emplace_back([&lock](ProcCtx& ctx) {
+      return mutex_worker(ctx, &lock, kFischerPassages);
+    });
   }
   Simulation sim(*mem, std::move(programs));
   BoundedGapScheduler sched(seed, delta);
   FischerRun out;
   out.completed = sim.run(sched, 5'000'000).all_terminated;
   out.violated = check_mutual_exclusion(sim.history()).has_value();
+  out.rmrs_per_passage = static_cast<double>(mem->ledger().total_rmrs()) /
+                         static_cast<double>(n * kFischerPassages);
   return out;
 }
 
@@ -109,7 +118,8 @@ TEST(Fischer, SafeWithAdequateDelayUnderDeltaScheduler) {
   // Delay >= delta + slack for simultaneous deadline collisions (see
   // BoundedGapScheduler): every run must be safe and complete.
   for (const std::uint64_t seed : {1u, 2u, 3u, 5u, 8u, 13u, 21u, 34u}) {
-    const auto r = run_fischer(n, static_cast<Word>(delta + n), delta, seed);
+    const auto r =
+        run_fischer("dsm", n, static_cast<Word>(delta + n), delta, seed);
     EXPECT_TRUE(r.completed) << "seed " << seed;
     EXPECT_FALSE(r.violated) << "seed " << seed;
   }
@@ -121,12 +131,37 @@ TEST(Fischer, BrokenWithoutTheDelay) {
   const int n = 4;
   bool violation_found = false;
   for (std::uint64_t seed = 1; seed <= 200 && !violation_found; ++seed) {
-    const auto r = run_fischer(n, 0, 6, seed);
+    const auto r = run_fischer("dsm", n, 0, 6, seed);
     violation_found = r.violated;
   }
   EXPECT_TRUE(violation_found)
       << "no violation found with zero delay — the timing model is not "
          "being exercised";
+}
+
+TEST(Fischer, ContendedRmrsGrowWithNInBothModels) {
+  // Every contender spins on the one shared lock word, so the contended
+  // cost per passage grows with N — in CC too, where each winner's write
+  // invalidates every spinner's copy. The cited [23] O(1)-DSM algorithm
+  // needs local-spin machinery this classic protocol lacks.
+  const std::uint64_t delta = 8;
+  const auto mean_rmrs = [delta](const char* model, int n) {
+    double sum = 0;
+    for (const std::uint64_t seed : {1u, 2u, 3u}) {
+      const auto r =
+          run_fischer(model, n, static_cast<Word>(delta + n), delta, seed);
+      EXPECT_TRUE(r.completed) << model << " N=" << n << " seed " << seed;
+      EXPECT_FALSE(r.violated) << model << " N=" << n << " seed " << seed;
+      sum += r.rmrs_per_passage;
+    }
+    return sum / 3;
+  };
+  for (const char* model : {"dsm", "cc"}) {
+    const double small = mean_rmrs(model, 2);
+    const double large = mean_rmrs(model, 16);
+    EXPECT_GE(large, 4 * small)
+        << model << ": N=2 " << small << ", N=16 " << large;
+  }
 }
 
 TEST(TimedReplay, ScheduleWithTicksReplaysExactly) {

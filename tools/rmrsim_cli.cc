@@ -110,7 +110,7 @@ Args parse(int argc, char** argv, int first) {
 }
 
 // Name → model/algorithm/lock construction lives in harness/drive.h,
-// shared with the sweep experiments and benches; unknown names throw and
+// shared with the sweep experiments; unknown names throw and
 // are reported by main().
 std::unique_ptr<SharedMemory> make_model(const std::string& name, int nprocs) {
   return make_model_by_name(name, nprocs);
@@ -320,6 +320,7 @@ int cmd_sweep(const Args& a) {
               exp->name.c_str(), artifact.result.points.size(),
               artifact.result.workers, artifact.result.wall_ms,
               exp->title.c_str());
+  std::fputs(render_points_table(*exp, artifact).c_str(), stdout);
   std::fputs(render_fit_table(artifact).c_str(), stdout);
   // --deterministic omits the run-environment fields (wall time, workers),
   // so the written artifact is byte-stable for a given grid + git field —
@@ -341,8 +342,9 @@ int cmd_sweep(const Args& a) {
   }
   if (a.has("check") && !artifact_matches(artifact)) {
     std::fprintf(stderr,
-                 "sweep --check: fitted class disagrees with the paper's "
-                 "claim (see MISMATCH rows)\n");
+                 "sweep --check: a fitted class disagrees with the paper's "
+                 "claim (see MISMATCH rows) or a point's verdict "
+                 "(spec.ok, run.completed, *.invariants_ok) is not 1\n");
     return 1;
   }
   return 0;
@@ -957,9 +959,10 @@ void usage() {
       "            [--deterministic] [--golden FILE]\n"
       "            [--check] [--list]\n"
       "            runs the experiment's declarative grid on W threads\n"
-      "            (output is bit-identical for any W), writes\n"
-      "            BENCH_<exp>.json, and fits each series' growth class;\n"
-      "            --check exits 1 if a fit misses the paper's claim;\n"
+      "            (output is bit-identical for any W), prints one row per\n"
+      "            point, writes BENCH_<exp>.json, and fits each series'\n"
+      "            growth class; --check exits 1 if a fit misses the\n"
+      "            paper's claim or a point's verdict metric is not 1;\n"
       "            --max-n caps the grid for quick CI runs\n"
       "  trace     --gen private|hotset|zipf|ring|migratory | --in FILE\n"
       "            [--ops K] [--procs N] [--seed S]\n"
