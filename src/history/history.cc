@@ -346,8 +346,11 @@ void History::decode(ByteReader& r) {
     throw std::runtime_error("bad history mode");
   }
   mode_ = mode;
+  // Untrusted counts: the input must hold that many minimum-size entries.
+  const std::uint32_t nprocs = r.u32();
+  r.need(std::size_t{28} * nprocs);
   per_proc_.clear();
-  per_proc_.resize(r.u32());
+  per_proc_.resize(nprocs);
   for (ProcCounters& c : per_proc_) {
     c.steps = r.u64();
     c.mem_steps = r.u64();
@@ -362,6 +365,7 @@ void History::decode(ByteReader& r) {
   records_.clear();
   if (mode_ == HistoryMode::kFull) {
     const std::uint32_t n = r.u32();
+    r.need(std::size_t{88} * n);
     records_.reserve(n);
     for (std::uint32_t i = 0; i < n; ++i) {
       StepRecord rec;

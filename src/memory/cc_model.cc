@@ -180,6 +180,7 @@ void CcModel::save_state(std::string& out) const {
 void CcModel::load_state(ByteReader& r) {
   lines_.clear();
   const std::uint32_t n = r.u32();
+  r.need(std::size_t{12} * n);  // untrusted count: a line is >= 12 bytes
   lines_.reserve(n);
   for (std::uint32_t i = 0; i < n; ++i) {
     Line l;

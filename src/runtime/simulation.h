@@ -433,8 +433,8 @@ struct WorldSnapshot {
   /// fault trace, full-mode history records, and diagnostic variable names —
   /// so two worlds reached by different interleavings of equivalent work
   /// hash equal exactly when the state the search continues from is
-  /// identical. Stable across fork/restore round trips and across processes
-  /// (the dist coordinator dedups on it).
+  /// identical. Stable across fork/restore round trips and across
+  /// processes.
   std::uint64_t fingerprint() const;
 };
 

@@ -71,7 +71,9 @@ void put_procs(std::string& out, const WorldSnapshot& snap) {
 }
 
 std::vector<WorldSnapshot::ProcState> take_procs(ByteReader& r) {
+  // Untrusted counts: the input must hold that many minimum-size entries.
   const std::uint32_t n = r.u32();
+  r.need(std::size_t{48} * n);
   std::vector<WorldSnapshot::ProcState> procs;
   procs.reserve(n);
   for (std::uint32_t i = 0; i < n; ++i) {
@@ -86,6 +88,7 @@ std::vector<WorldSnapshot::ProcState> take_procs(ByteReader& r) {
     ps.steps = r.u64();
     ps.wake_time = r.u64();
     const std::uint32_t nlog = r.u32();
+    r.need(std::size_t{36} * nlog);
     ps.log.reserve(nlog);
     for (std::uint32_t j = 0; j < nlog; ++j) {
       ResumeRecord rec;
@@ -158,6 +161,7 @@ WorldSnapshot decode_world_snapshot(std::string_view bytes,
   out.history.decode(r);
   out.schedule = r.schedule();
   const std::uint32_t nfaults = r.u32();
+  r.need(std::size_t{16} * nfaults);
   out.fault_trace.reserve(nfaults);
   for (std::uint32_t i = 0; i < nfaults; ++i) {
     Simulation::FaultRecord f;

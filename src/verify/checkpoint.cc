@@ -18,9 +18,11 @@ namespace fs = std::filesystem;
 
 // Format constants. Bump kVersion on any layout change; old files are then
 // rejected as corrupt (with the version named in the reason), never
-// misparsed. v2 added the subtree footprint summary to ItemOutcome.
+// misparsed. Version history:
+//   v2  added a subtree footprint summary to ItemOutcome.
+//   v3  dropped that summary again (it only fed the removed state dedup).
 constexpr char kMagic[8] = {'R', 'M', 'R', 'C', 'K', 'P', 'T', '1'};
-constexpr std::uint32_t kVersion = 2;
+constexpr std::uint32_t kVersion = 3;
 
 std::string epoch_filename(std::uint64_t epoch) {
   char buf[32];
@@ -77,14 +79,6 @@ std::string encode_item_outcome(const ItemOutcome& out) {
     put_schedule(b, e.node_path);
     put_u32(b, static_cast<std::uint32_t>(e.proc));
   }
-  put_u32(b, static_cast<std::uint32_t>(out.footprints.size()));
-  for (const Simulation::MacroFootprint& f : out.footprints) {
-    put_u32(b, f.has_op ? 1 : 0);
-    put_u32(b, static_cast<std::uint32_t>(f.var));
-    put_u32(b, static_cast<std::uint32_t>(f.access));
-    put_u32(b, f.observable ? 1 : 0);
-    put_u32(b, f.terminated ? 1 : 0);
-  }
   return b;
 }
 
@@ -125,16 +119,6 @@ ItemOutcome decode_item_outcome(std::string_view bytes) {
     e.node_path = r.schedule();
     e.proc = static_cast<ProcId>(r.u32());
     out.externals.push_back(std::move(e));
-  }
-  const std::uint32_t nfoot = r.u32();
-  for (std::uint32_t i = 0; i < nfoot; ++i) {
-    Simulation::MacroFootprint f;
-    f.has_op = r.u32() != 0;
-    f.var = static_cast<VarId>(r.u32());
-    f.access = static_cast<AccessClass>(r.u32());
-    f.observable = r.u32() != 0;
-    f.terminated = r.u32() != 0;
-    out.footprints.push_back(f);
   }
   if (!r.done()) throw std::runtime_error("trailing bytes in outcome record");
   return out;

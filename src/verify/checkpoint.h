@@ -74,13 +74,6 @@ struct ItemOutcome {
   std::vector<ExploreViolation> violations;
   std::vector<std::vector<ProcId>> completes;  // macro schedules (if collected)
   std::vector<ExternalAdd> externals;
-  /// Distinct macro-step footprints executed anywhere in the item's subtree
-  /// (sorted, deduplicated; checkpoint format v2). Fingerprint dedup uses
-  /// this as the eligibility certificate: a duplicate item may reuse this
-  /// outcome only if none of *its own* trunk steps is dependent with any
-  /// footprint here — then the duplicate's trunk-escaping race insertions
-  /// are provably empty (see dpor.cc, "fingerprint dedup").
-  std::vector<Simulation::MacroFootprint> footprints;
   /// True if the item stopped early on the global node budget. Such an
   /// outcome is partial — it is merged (best effort, like before) but never
   /// recorded into a checkpoint, or a later resume with a larger budget

@@ -116,7 +116,9 @@ ItemMsg decode_item(std::string_view payload) {
   msg.base_nodes = r.u64();
   msg.collect_completes = r.u32() != 0;
   msg.item.schedule = r.schedule();
+  // Untrusted counts: the input must hold that many minimum-size entries.
   const std::uint32_t npath = r.u32();
+  r.need(std::size_t{28} * npath);
   msg.item.path.reserve(npath);
   for (std::uint32_t i = 0; i < npath; ++i) {
     DporPathStep s;
@@ -131,6 +133,7 @@ ItemMsg decode_item(std::string_view payload) {
     msg.item.path.push_back(std::move(s));
   }
   const std::uint32_t nsleep = r.u32();
+  r.need(std::size_t{24} * nsleep);
   msg.item.sleep.reserve(nsleep);
   for (std::uint32_t i = 0; i < nsleep; ++i) {
     DporSleepEntry e;

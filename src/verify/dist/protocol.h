@@ -33,9 +33,12 @@
 
 namespace rmrsim::dist {
 
-// Bump on any change to frame, message or snapshot bytes. v2: per-process
-// snapshot state no longer carries bytecode pc/register fields.
-inline constexpr std::uint32_t kProtocolVersion = 2;
+// Bump on any change to frame, message or snapshot bytes. Version history:
+//   v2  per-process snapshot state no longer carries bytecode pc/register
+//       fields.
+//   v3  outcomes no longer carry a subtree footprint summary (checkpoint
+//       format v3).
+inline constexpr std::uint32_t kProtocolVersion = 3;
 
 enum class MsgTag : std::uint32_t {
   kHello = 1,

@@ -10,11 +10,9 @@
 #include <stdexcept>
 #include <string>
 #include <thread>
-#include <tuple>
 #include <utility>
 
 #include "common/check.h"
-#include "common/codec.h"
 #include "sched/schedulers.h"
 #include "verify/checkpoint.h"
 #include "verify/snapshot_cache.h"
@@ -99,8 +97,8 @@ std::vector<std::int32_t> race_scan(const std::vector<PathStep>& path,
 using Violation = ExploreViolation;
 
 /// A failed item execution attempt: a worker "dying" (injected failure, an
-/// exception escaping the item) or a per-item deadline trip. Caught by the
-/// retry wrapper; never escapes to the caller.
+/// exception escaping the item) or a per-item node-deadline trip. Caught by
+/// the retry wrapper; never escapes to the caller.
 struct ItemFailure : std::runtime_error {
   using std::runtime_error::runtime_error;
 };
@@ -119,7 +117,6 @@ struct Shared {
   int item_max_attempts = 1;
   std::uint64_t retry_backoff_ms = 0;
   std::uint64_t item_node_limit = 0;
-  double item_wall_limit_ms = 0.0;
   const std::function<bool(const std::vector<ProcId>&, int)>* inject = nullptr;
   std::atomic<std::uint64_t> nodes{0};
   std::atomic<bool> budget_hit{false};
@@ -146,8 +143,7 @@ bool charge_node(Shared& sh) {
 /// an attempt that fails (ItemFailure) leaves the global count untouched,
 /// so the retried attempt re-executes an identical subtree and
 /// nodes_visited stays deterministic under any failure pattern.
-void run_item(Shared& sh, const WorkItem& item, ItemOutcome& out,
-              std::chrono::steady_clock::time_point attempt_start) {
+void run_item(Shared& sh, const WorkItem& item, ItemOutcome& out) {
   struct Frame {
     std::vector<ProcId> enabled;
     std::vector<SleepEntry> sleep;
@@ -162,21 +158,6 @@ void run_item(Shared& sh, const WorkItem& item, ItemOutcome& out,
   std::vector<PathStep> path = item.path;
   const std::size_t root_depth = schedule.size();
   std::vector<Frame> frames;
-
-  // Distinct footprints of every macro step the subtree executes — the
-  // dedup eligibility certificate (ItemOutcome::footprints): a duplicate
-  // item may reuse this outcome only if none of its own trunk steps is
-  // dependent with any footprint here. Kept canonically ordered so outcomes
-  // stay byte-stable.
-  std::set<std::tuple<bool, VarId, int, bool, bool>> fp_seen;
-  const auto flush_footprints = [&] {
-    out.footprints.reserve(fp_seen.size());
-    for (const auto& [has_op, var, access, observable, terminated] : fp_seen) {
-      out.footprints.push_back({has_op, var,
-                                static_cast<AccessClass>(access), observable,
-                                terminated});
-    }
-  };
 
   // Private per-item cache, seeded with the shipped root snapshot: the
   // item's first rebuild is a pure restore, later ones restore the deepest
@@ -243,7 +224,7 @@ void run_item(Shared& sh, const WorkItem& item, ItemOutcome& out,
 
   if (!enter_node(item.sleep, item.naive_product, item.naive_sum)) {
     if (cache.has_value()) fold_cache_stats(*cache, out.replay);
-    return;  // zero steps executed: the footprint summary is empty
+    return;
   }
 
   while (!frames.empty()) {
@@ -274,22 +255,12 @@ void run_item(Shared& sh, const WorkItem& item, ItemOutcome& out,
         sh.max_nodes) {
       // Global budget: abandon the item (best effort, partial outcome).
       out.budget_hit = true;
-      flush_footprints();
       if (cache.has_value()) fold_cache_stats(*cache, out.replay);
       return;
     }
     if (sh.item_node_limit > 0 && out.charged > sh.item_node_limit) {
       throw ItemFailure("work item exceeded its per-attempt step deadline (" +
                         std::to_string(sh.item_node_limit) + " nodes)");
-    }
-    if (sh.item_wall_limit_ms > 0.0 && (out.charged & 31) == 0) {
-      const double elapsed_ms =
-          std::chrono::duration<double, std::milli>(
-              std::chrono::steady_clock::now() - attempt_start)
-              .count();
-      if (elapsed_ms > sh.item_wall_limit_ms) {
-        throw ItemFailure("work item exceeded its per-attempt wall deadline");
-      }
     }
     if (!sim_valid) {
       inst = materialize_schedule(*sh.build, schedule, ReplayUnit::kMacro,
@@ -298,8 +269,6 @@ void run_item(Shared& sh, const WorkItem& item, ItemOutcome& out,
     }
     const MacroFootprint fp = inst.sim->macro_step(q);
     ++out.nodes;
-    fp_seen.emplace(fp.has_op, fp.var, static_cast<int>(fp.access),
-                    fp.observable, fp.terminated);
 
     std::vector<std::size_t> races;
     std::vector<std::int32_t> clock = race_scan(path, q, fp, nprocs, &races);
@@ -352,13 +321,12 @@ void run_item(Shared& sh, const WorkItem& item, ItemOutcome& out,
       }
     }
   }
-  flush_footprints();
   if (cache.has_value()) fold_cache_stats(*cache, out.replay);
 }
 
 /// Runs one item under the worker-failure discipline: a failed attempt
-/// (thrown exception — a "dead" worker — or a per-item deadline) is retried
-/// in the same slot with exponential backoff, up to item_max_attempts
+/// (thrown exception — a "dead" worker — or a per-item node deadline) is
+/// retried in the same slot with exponential backoff, up to item_max_attempts
 /// total attempts. Retrying in place rather than re-enqueueing preserves
 /// the pool's termination invariant (no new queue entries appear mid-round)
 /// while giving the same bounded-retry semantics. Node charges are
@@ -376,7 +344,7 @@ bool run_item_recovering(Shared& sh, const WorkItem& item, ItemOutcome& out,
           (*sh.inject)(item.schedule, attempt)) {
         throw ItemFailure("injected worker failure");
       }
-      run_item(sh, item, attempt_out, std::chrono::steady_clock::now());
+      run_item(sh, item, attempt_out);
     } catch (const std::exception& e) {
       sh.worker_failures.fetch_add(1, std::memory_order_relaxed);
       if (attempt >= sh.item_max_attempts) {
@@ -424,90 +392,8 @@ void init_shared(Shared& sh, const ExploreBuilder& build,
   sh.item_max_attempts = std::max(1, options.item_max_attempts);
   sh.retry_backoff_ms = options.retry_backoff_ms;
   sh.item_node_limit = options.item_node_limit;
-  sh.item_wall_limit_ms = options.item_wall_limit_ms;
   sh.inject = options.inject_item_failure ? &options.inject_item_failure
                                           : nullptr;
-}
-
-/// Canonical dedup key of a work item: root-world fingerprint, root depth,
-/// and the sleep set in canonical order. The subtree an item explores is a
-/// function of (root world, sleep set, remaining depth) alone, so items
-/// with equal keys explore step-for-step identical subtrees.
-std::string dedup_item_key(const WorkItem& item) {
-  ensure(item.root_snap != nullptr,
-         "dedup_states requires work items to carry root snapshots");
-  const auto fp_key = [](const MacroFootprint& fp) {
-    return std::make_tuple(fp.has_op, fp.var, static_cast<int>(fp.access),
-                           fp.observable, fp.terminated);
-  };
-  std::string sig;
-  put_u64(sig, item.root_snap->fingerprint());
-  put_u32(sig, static_cast<std::uint32_t>(item.schedule.size()));
-  std::vector<SleepEntry> sleep = item.sleep;
-  std::sort(sleep.begin(), sleep.end(),
-            [&](const SleepEntry& a, const SleepEntry& b) {
-              return std::make_tuple(a.proc, fp_key(a.fp)) <
-                     std::make_tuple(b.proc, fp_key(b.fp));
-            });
-  put_u32(sig, static_cast<std::uint32_t>(sleep.size()));
-  for (const SleepEntry& e : sleep) {
-    put_u32(sig, static_cast<std::uint32_t>(e.proc));
-    put_u32(sig, e.fp.has_op ? 1 : 0);
-    put_u32(sig, static_cast<std::uint32_t>(e.fp.var));
-    put_u32(sig, static_cast<std::uint32_t>(e.fp.access));
-    put_u32(sig, e.fp.observable ? 1 : 0);
-    put_u32(sig, e.fp.terminated ? 1 : 0);
-  }
-  return sig;
-}
-
-/// Reuse is sound iff the duplicate's own trunk path is independent of
-/// everything the representative's subtree executed: the duplicate's
-/// subtree (step-for-step identical) then raises no races against its
-/// trunk, so its externals are provably empty and the representative's
-/// outcome transfers with only the schedule prefixes rewritten. A partial
-/// (budget-hit) outcome never transfers.
-bool dedup_eligible(const WorkItem& dup, const ItemOutcome& rep) {
-  if (rep.budget_hit) return false;
-  for (const PathStep& s : dup.path) {
-    for (const MacroFootprint& f : rep.footprints) {
-      if (Simulation::dependent(s.fp, f)) return false;
-    }
-  }
-  return true;
-}
-
-/// A registered dedup representative: the outcome plus the naive-estimate
-/// seeds its item carried (needed to transfer the estimate exactly).
-struct DedupRep {
-  double naive_product = 1.0;
-  double naive_sum = 1.0;
-  ItemOutcome outcome;
-};
-
-ItemOutcome synthesize_dedup(const WorkItem& dup, const DedupRep& rep) {
-  ItemOutcome out = rep.outcome;
-  out.schedule = dup.schedule;
-  const auto rewrite = [&](std::vector<ProcId>& s) {
-    std::copy(dup.schedule.begin(), dup.schedule.end(), s.begin());
-  };
-  for (ExploreViolation& v : out.violations) rewrite(v.schedule);
-  for (std::vector<ProcId>& s : out.completes) rewrite(s);
-  out.externals.clear();  // provably empty (dedup_eligible)
-  // The recorded estimate decomposes as leaves*naive_sum + naive_product*K
-  // with K intrinsic to the subtree; transfer it exactly to the
-  // duplicate's seeds.
-  if (rep.naive_product > 0.0 && out.leaves > 0) {
-    const double k = (rep.outcome.estimate_sum -
-                      static_cast<double>(out.leaves) * rep.naive_sum) /
-                     rep.naive_product;
-    out.estimate_sum = static_cast<double>(out.leaves) * dup.naive_sum +
-                       dup.naive_product * k;
-  }
-  // No work was redone: the replay statistics describe the
-  // representative's execution, not this item's.
-  out.replay = ExploreStats{};
-  return out;
 }
 
 /// A persistent node of the sequentially-owned trunk (depth < trunk_depth).
@@ -542,13 +428,6 @@ ExploreResult explore_dpor(const ExploreBuilder& build,
   ExploreResult result;
   Shared sh;
   init_shared(sh, build, check, options);
-  if (options.dedup_states) {
-    // Dedup keys on root-world fingerprints (needs the shipped snapshots)
-    // and reuses outcomes across distinct histories, which is only sound
-    // when checkers see counters, not per-step records.
-    ensure(sh.snapshots, "dedup_states requires SnapshotMode::kSnapshot");
-    ensure(sh.counters_only, "dedup_states requires counters_only_history");
-  }
   ExploreCheckpoint* const ck = options.checkpoint;
 
   // Trunk-level cache: the coordinator's expansions walk prefixes of each
@@ -563,9 +442,6 @@ ExploreResult explore_dpor(const ExploreBuilder& build,
 
   std::map<std::vector<ProcId>, TrunkNode> trunk;
   std::set<std::pair<std::vector<ProcId>, ProcId>> pending;
-  // Cross-round dedup memory: canonical item key -> the first healthy
-  // outcome executed (or merged from a checkpoint) under that key.
-  std::map<std::string, DedupRep> dedup_reps;
   std::vector<Violation> violations;
   double estimate_sum = 0.0;
   std::uint64_t leaves = 0;
@@ -771,8 +647,8 @@ ExploreResult explore_dpor(const ExploreBuilder& build,
       }
     };
 
-    // Runs a set of item indices: on the external (multi-process) executor
-    // when one is configured, inline when effectively sequential, on the
+    // Runs the live items: on the external (multi-process) executor when
+    // one is configured, inline when effectively sequential, on the
     // work-stealing thread pool otherwise.
     const auto run_jobs = [&](const std::vector<std::size_t>& jobs) {
       if (jobs.empty()) return;
@@ -860,68 +736,7 @@ ExploreResult explore_dpor(const ExploreBuilder& build,
       for (std::thread& t : pool) t.join();
     };
 
-    // Fingerprint dedup (opt-in): split the live items into representatives
-    // — the first item this search has seen under each key — and
-    // duplicates, run the representatives first, then serve each duplicate
-    // from its representative's outcome when the reuse is provably sound.
-    std::vector<std::string> key(items.size());
-    std::vector<std::size_t> wave1;
-    std::vector<std::size_t> dup_jobs;
-    if (!options.dedup_states) {
-      wave1 = live;
-    } else {
-      for (std::size_t i = 0; i < items.size(); ++i) {
-        key[i] = dedup_item_key(items[i]);
-      }
-      std::set<std::string> claimed;  // keys taken by a wave-1 item this round
-      for (const std::size_t i : live) {
-        if (dedup_reps.count(key[i]) != 0 || !claimed.insert(key[i]).second) {
-          dup_jobs.push_back(i);
-        } else {
-          wave1.push_back(i);
-        }
-      }
-    }
-
-    run_jobs(wave1);
-
-    if (options.dedup_states) {
-      // Register representatives: every healthy (non-quarantined, complete)
-      // outcome this round — wave-1 runs and checkpoint merges alike —
-      // under a key nobody holds yet. First registration wins, in the
-      // canonical item order, so the representative choice is
-      // deterministic and stable across resumes.
-      const auto register_rep = [&](std::size_t i) {
-        if (!quarantine[i].empty() || outcomes[i].budget_hit) return;
-        dedup_reps.try_emplace(key[i],
-                               DedupRep{items[i].naive_product,
-                                        items[i].naive_sum, outcomes[i]});
-      };
-      for (std::size_t i = 0; i < items.size(); ++i) {
-        if (resolved[i]) register_rep(i);
-      }
-      for (const std::size_t i : wave1) register_rep(i);
-
-      std::vector<std::size_t> wave2;  // ineligible duplicates: run normally
-      for (const std::size_t i : dup_jobs) {
-        const auto rit = dedup_reps.find(key[i]);
-        if (rit != dedup_reps.end() &&
-            rit->second.outcome.schedule.size() == items[i].schedule.size() &&
-            dedup_eligible(items[i], rit->second.outcome)) {
-          outcomes[i] = synthesize_dedup(items[i], rit->second);
-          ++result.stats.dedup_hits;
-          const std::uint64_t before = sh.nodes.fetch_add(
-              outcomes[i].charged, std::memory_order_relaxed);
-          if (before + outcomes[i].charged > sh.max_nodes) {
-            sh.budget_hit.store(true, std::memory_order_relaxed);
-          }
-          if (ck != nullptr) ck->record_outcome(outcomes[i]);
-        } else {
-          wave2.push_back(i);
-        }
-      }
-      run_jobs(wave2);
-    }
+    run_jobs(live);
 
     for (std::size_t i = 0; i < outcomes.size(); ++i) {
       if (!quarantine[i].empty()) {

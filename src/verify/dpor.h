@@ -61,7 +61,7 @@ namespace rmrsim {
 /// One executed macro step on the path from the search root to a work-item
 /// root: the process stepped, its footprint, and the vector clock *after*
 /// the step. Public because sharded exploration ships work items to worker
-/// processes (verify/dist/) and dedup keys on the path's footprints.
+/// processes (verify/dist/).
 struct DporPathStep {
   ProcId proc = kNoProc;
   Simulation::MacroFootprint fp;
@@ -163,19 +163,18 @@ struct DporOptions {
   /// identical (instance, options).
   ExploreCheckpoint* checkpoint = nullptr;
   /// Worker-failure discipline. An item execution attempt that throws (a
-  /// worker "dying" mid-item), exceeds `item_node_limit` node expansions,
-  /// or runs past `item_wall_limit_ms` is retried in place with exponential
-  /// backoff (base `retry_backoff_ms`, doubled per attempt, capped at 1s)
-  /// up to `item_max_attempts` total attempts. A failed attempt commits
-  /// nothing — node charges stay item-local until success — so retries
-  /// re-execute the subtree identically and verdicts are unchanged by any
-  /// transient failure pattern. An item whose every attempt fails is
+  /// worker "dying" mid-item) or exceeds `item_node_limit` node expansions
+  /// is retried in place with exponential backoff (base `retry_backoff_ms`,
+  /// doubled per attempt, capped at 1s) up to `item_max_attempts` total
+  /// attempts. A failed attempt commits nothing — node charges stay
+  /// item-local until success — so retries re-execute the subtree
+  /// identically and verdicts are unchanged by any transient failure
+  /// pattern. An item whose every attempt fails is
   /// quarantined: reported in ExploreResult::quarantined_items, recorded in
   /// the checkpoint (if any), and the search ends with exhausted == false.
   int item_max_attempts = 3;
   std::uint64_t retry_backoff_ms = 1;
   std::uint64_t item_node_limit = 0;   ///< per-attempt node deadline (0 = off)
-  double item_wall_limit_ms = 0.0;     ///< per-attempt wall deadline (0 = off)
   /// Test hook: called before each attempt with (item root schedule,
   /// attempt number, 1-based); returning true makes the attempt fail as if
   /// the worker died. Must be thread-safe.
@@ -186,19 +185,6 @@ struct DporOptions {
   /// the deterministic merge are unchanged — the executor only moves where
   /// run_dist_item runs. Not owned.
   DistItemExecutor* dist = nullptr;
-  /// Content-hash state dedup: before running a round, work items whose
-  /// root world fingerprint (WorldSnapshot::fingerprint), sleep-set
-  /// signature, and root depth match an already-executed item reuse that
-  /// item's outcome — with schedule prefixes rewritten to the duplicate's
-  /// root — instead of re-exploring, when the reuse is provably sound: no
-  /// step on the duplicate's own trunk path is dependent with any footprint
-  /// the representative's subtree executed (then the duplicate's subtree
-  /// raises no external backtracks either). Requires snapshot mode and
-  /// counters_only_history. Verdicts (violation, complete schedules,
-  /// exhausted) are unchanged; naive_tree_estimate becomes approximate for
-  /// deduped subtrees (rescaled by the naive seed ratio), which is why this
-  /// is opt-in rather than default.
-  bool dedup_states = false;
 };
 
 /// Explores a persistent-set-reduced schedule tree of the instance.

@@ -24,7 +24,6 @@ struct NaiveDfs {
   const ExploreBuilder& build;
   const ExploreChecker& check;
   const ExploreOptions& options;
-  ReplayUnit unit;
   SnapshotCache* cache;
   ExploreResult& result;
   std::vector<ProcId> prefix;
@@ -65,13 +64,13 @@ struct NaiveDfs {
       if (i == 0 && cache != nullptr) {
         // `instance` is the parent's world and nobody needs it afterwards:
         // advance it one unit and hand it down.
-        extend_in_place(instance, children[i], unit, prefix, cache,
-                        &result.stats);
+        extend_in_place(instance, children[i], ReplayUnit::kMacro, prefix,
+                        cache, &result.stats);
         keep_going = visit(std::move(instance));
       } else {
-        keep_going = visit(materialize_schedule(build, prefix, unit,
-                                                options.counters_only_history,
-                                                cache, &result.stats));
+        keep_going = visit(materialize_schedule(
+            build, prefix, ReplayUnit::kMacro, options.counters_only_history,
+            cache, &result.stats));
       }
       prefix.pop_back();
       if (!keep_going) return false;
@@ -86,8 +85,6 @@ ExploreResult explore_all_schedules(const ExploreBuilder& build,
                                     const ExploreChecker& check,
                                     const ExploreOptions& options) {
   ExploreResult result;
-  const ReplayUnit unit =
-      options.macro_steps ? ReplayUnit::kMacro : ReplayUnit::kStep;
   std::optional<SnapshotCache> cache;
   if (options.snapshot_mode == SnapshotMode::kSnapshot) {
     cache.emplace(SnapshotCache::Config{options.snapshot_stride,
@@ -96,9 +93,8 @@ ExploreResult explore_all_schedules(const ExploreBuilder& build,
   SnapshotCache* cache_ptr = cache.has_value() ? &*cache : nullptr;
 
   if (options.max_nodes > 0) {
-    NaiveDfs dfs{build,     check, options, unit,
-                 cache_ptr, result, {}};
-    dfs.visit(materialize_schedule(build, {}, unit,
+    NaiveDfs dfs{build, check, options, cache_ptr, result, {}};
+    dfs.visit(materialize_schedule(build, {}, ReplayUnit::kMacro,
                                    options.counters_only_history, cache_ptr,
                                    &result.stats));
   } else {

@@ -54,14 +54,6 @@ struct ExploreOptions {
   int max_depth = 64;
   /// Stop after visiting this many nodes (safety valve).
   std::uint64_t max_nodes = 2'000'000;
-  /// Branch on *memory operations* only: each transition flushes a
-  /// process's pending events/directives and applies its next memory op
-  /// (or runs it to termination). Sound — every reduced schedule is a real
-  /// schedule, so reported violations are genuine — but event orderings
-  /// not of this shape are skipped, so checkers used with macro stepping
-  /// should be phrased over memory-op records (values), not event
-  /// positions, for completeness. Cuts tree depth ~2-3x.
-  bool macro_steps = true;
   /// Run every built instance with HistoryMode::kCountersOnly: per-step
   /// records are dropped, so replays stop paying record growth. Opt-in —
   /// only sound when the checker reads aggregate counters (size, rmrs,
@@ -115,10 +107,6 @@ struct ExploreStats {
   std::uint64_t checkpoint_epochs = 0;    ///< checkpoint epochs written
   std::uint64_t worker_failures = 0;      ///< item attempts that died or timed out
   std::uint64_t item_retries = 0;         ///< failed attempts that were re-run
-  /// Work items whose outcome was reused from a fingerprint-identical,
-  /// provably-equivalent item instead of re-explored (DporOptions::
-  /// dedup_states; zero when dedup is off).
-  std::uint64_t dedup_hits = 0;
 };
 
 struct ExploreResult {
@@ -153,7 +141,12 @@ using ExploreChecker =
     std::function<std::optional<std::string>(const History&)>;
 
 /// Explores every schedule of the instance up to the bounds, checking each
-/// visited state. Stops at the first violation.
+/// visited state. Stops at the first violation. Branches on *memory
+/// operations* only: each transition is one Simulation::macro_step, which
+/// flushes a process's pending events and applies its next memory op (or
+/// runs it to termination). Every explored schedule is a real schedule, so
+/// reported violations are genuine; checkers should be phrased over
+/// memory-op records, not event positions, for completeness.
 ExploreResult explore_all_schedules(const ExploreBuilder& build,
                                     const ExploreChecker& check,
                                     const ExploreOptions& options = {});

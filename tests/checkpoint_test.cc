@@ -16,13 +16,17 @@
 #include <cstdio>
 #include <filesystem>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
+#include "common/codec.h"
+#include "common/crc32.h"
+#include "common/fsio.h"
+#include "explore_fixtures.h"
 #include "memory/shared_memory.h"
 #include "signaling/algorithm.h"
 #include "signaling/broken.h"
-#include "signaling/checker.h"
 #include "signaling/dsm_registration.h"
 #include "verify/checkpoint.h"
 #include "verify/dpor.h"
@@ -49,13 +53,6 @@ ExploreBuilder signaling_builder(int n_waiters, int polls, Args... args) {
     inst.sim = std::make_unique<Simulation>(*inst.mem, std::move(programs));
     inst.keepalive = alg;
     return inst;
-  };
-}
-
-ExploreChecker polling_checker() {
-  return [](const History& h) -> std::optional<std::string> {
-    if (const auto v = check_polling_spec(h); v.has_value()) return v->what;
-    return std::nullopt;
   };
 }
 
@@ -250,6 +247,41 @@ TEST(Checkpoint, FingerprintMismatchIsAHardError) {
   ExploreCheckpoint other(cfg);
   EXPECT_THROW(other.load_latest(), std::exception)
       << "outcomes from a different search must never be silently reused";
+}
+
+TEST(Checkpoint, EpochOfAnotherFormatVersionIsDiscarded) {
+  TempDir dir("version");
+  ExploreCheckpoint::Config cfg;
+  cfg.dir = dir.path;
+  cfg.fingerprint = 0xC0DE;
+  {
+    ExploreCheckpoint ck(cfg);
+    ck.reset();
+    ck.record_outcome(sample_outcome());
+    ck.flush();
+  }
+  const std::string path = dir.path + "/epoch-000001.ckpt";
+  // Header: magic (8 bytes), version (u32), fingerprint, epoch and the two
+  // record counts (u64 each), then the CRC-32 of those 44 bytes. Rewrite
+  // the version to 2 — the layout whose outcomes still carried footprint
+  // summaries — and re-seal the header so only the version is wrong.
+  std::optional<std::string> bytes = read_file(path);
+  ASSERT_TRUE(bytes.has_value());
+  constexpr std::size_t kHeaderLen = 44;
+  ASSERT_GT(bytes->size(), kHeaderLen + 4);
+  std::string header = bytes->substr(0, 8);
+  put_u32(header, 2);
+  header.append(*bytes, 12, kHeaderLen - 12);
+  put_u32(header, crc32(header));
+  write_file_atomic(path, header + bytes->substr(kHeaderLen + 4));
+
+  ExploreCheckpoint ck(cfg);
+  const auto rep = ck.load_latest();
+  EXPECT_EQ(rep.epoch, 0u) << "no epoch of another version is installed";
+  EXPECT_EQ(rep.outcomes, 0u);
+  ASSERT_EQ(rep.discarded.size(), 1u);
+  EXPECT_NE(rep.discarded[0].find("unsupported version 2"), std::string::npos)
+      << rep.discarded[0];
 }
 
 // ---------------------------------------------------------------------------

@@ -11,13 +11,11 @@
 //    of truncation and structural mismatch.
 //  * protocol frames — CRC-checked round trip over a real pipe; torn
 //    writes and flipped bytes throw, clean EOF returns false.
-//  * checkpoint ItemOutcome v2 — footprint summaries survive the record
-//    round trip (the dedup eligibility data rides the same bytes).
+//  * decoder count bounds — a length field the input cannot back is a
+//    named std::runtime_error, never an allocation sized by it.
 //  * a loopback DistItemExecutor that pushes every work item through the
 //    full wire codec and run_dist_item in-process — the whole dist stack
 //    minus fork — must reproduce the in-process search byte-for-byte.
-//  * dedup_states — verdict-equality gate: identical results with and
-//    without dedup, dedup_hits > 0 on a workload with equivalent subtrees.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
@@ -26,12 +24,13 @@
 #include <vector>
 
 #include "common/codec.h"
+#include "explore_fixtures.h"
+#include "history/history.h"
+#include "memory/cc_model.h"
 #include "memory/shared_memory.h"
-#include "runtime/coro.h"
 #include "runtime/simulation.h"
 #include "runtime/snapshot_codec.h"
 #include "signaling/algorithm.h"
-#include "signaling/checker.h"
 #include "signaling/dsm_registration.h"
 #include "verify/checkpoint.h"
 #include "verify/dist/protocol.h"
@@ -61,21 +60,6 @@ ExploreBuilder signaling_builder(int n_waiters, int polls) {
   };
 }
 
-ExploreChecker polling_checker() {
-  return [](const History& h) -> std::optional<std::string> {
-    if (const auto v = check_polling_spec(h); v.has_value()) return v->what;
-    return std::nullopt;
-  };
-}
-
-/// A checker with no record dependence — sound under counters_only_history
-/// (which dedup requires).
-ExploreChecker null_checker() {
-  return [](const History&) -> std::optional<std::string> {
-    return std::nullopt;
-  };
-}
-
 std::shared_ptr<const WorldSnapshot> snapshot_after(
     const ExploreBuilder& build, const std::vector<ProcId>& schedule) {
   ExploreInstance inst = build();
@@ -93,7 +77,7 @@ TEST(Fingerprint, StableAcrossForkRestoreRoundTrips) {
   EXPECT_EQ(fp, snap->fingerprint()) << "fingerprint must be pure";
 
   // Restore the world, snapshot it again untouched: same semantic state,
-  // same hash — the property coordinator-side dedup stands on.
+  // same hash.
   ExploreInstance restored = restore_instance(*snap);
   const auto again = take_snapshot(restored);
   EXPECT_EQ(again->fingerprint(), fp);
@@ -275,8 +259,6 @@ TEST(DistProtocol, MessageRoundTrips) {
   out.result.item_retries = 1;
   out.result.outcome.schedule = {0, 2, 1};
   out.result.outcome.charged = 42;
-  out.result.outcome.footprints = {
-      {true, 1, AccessClass::kMutate, true, false}};
   const dist::OutcomeMsg out2 =
       dist::decode_outcome(dist::encode_outcome(out));
   EXPECT_EQ(out2.index, 7u);
@@ -285,8 +267,6 @@ TEST(DistProtocol, MessageRoundTrips) {
   EXPECT_EQ(out2.result.item_retries, 1u);
   EXPECT_EQ(out2.result.outcome.schedule, out.result.outcome.schedule);
   EXPECT_EQ(out2.result.outcome.charged, 42u);
-  ASSERT_EQ(out2.result.outcome.footprints.size(), 1u);
-  EXPECT_EQ(out2.result.outcome.footprints[0].var, 1);
 
   dist::OutcomeMsg bad;
   bad.index = 9;
@@ -298,33 +278,82 @@ TEST(DistProtocol, MessageRoundTrips) {
   EXPECT_EQ(bad2.result.quarantine_reason, "deliberate");
 }
 
-// ---- checkpoint record v2 --------------------------------------------
+// ---- decoder count bounds ---------------------------------------------
 
-TEST(CheckpointV2, ItemOutcomeFootprintsSurviveTheRecordRoundTrip) {
-  ItemOutcome out;
-  out.schedule = {1, 0, 2};
-  out.charged = 17;
-  out.nodes = 17;
-  out.complete = 3;
-  out.truncated = 1;
-  out.estimate_sum = 123.5;
-  out.leaves = 4;
-  out.footprints = {
-      {true, 0, AccessClass::kObserve, false, false},
-      {true, 2, AccessClass::kMutate, true, false},
-      {false, kNoVar, AccessClass::kObserve, false, true},
+/// `prefix` followed by a u32 count of 0xFFFFFFFF and nothing else: a
+/// length field no short buffer can back. The count is deliberately the
+/// maximum — a decoder that sizes a container from it before checking the
+/// input asks for tens of gigabytes and dies with std::bad_alloc.
+std::string with_huge_count(std::string prefix) {
+  put_u32(prefix, 0xFFFFFFFFu);
+  return prefix;
+}
+
+TEST(DecoderBounds, HugeCountsAreNamedErrorsNotAllocations) {
+  // History::decode: the per-process counter count, then (full mode) the
+  // record count after an empty counter block.
+  const auto history_rejects = [](const std::string& prefix) {
+    const std::string bytes = with_huge_count(prefix);
+    ByteReader r(bytes);
+    History h;
+    EXPECT_THROW(h.decode(r), std::runtime_error);
   };
-  const ItemOutcome back = decode_item_outcome(encode_item_outcome(out));
-  EXPECT_EQ(back.schedule, out.schedule);
-  EXPECT_EQ(back.charged, out.charged);
-  ASSERT_EQ(back.footprints.size(), 3u);
-  EXPECT_EQ(back.footprints[0].var, 0);
-  EXPECT_EQ(back.footprints[0].access, AccessClass::kObserve);
-  EXPECT_EQ(back.footprints[1].var, 2);
-  EXPECT_EQ(back.footprints[1].access, AccessClass::kMutate);
-  EXPECT_TRUE(back.footprints[1].observable);
-  EXPECT_FALSE(back.footprints[2].has_op);
-  EXPECT_TRUE(back.footprints[2].terminated);
+  std::string head;
+  put_u32(head, static_cast<std::uint32_t>(HistoryMode::kCountersOnly));
+  history_rejects(head);
+  head.clear();
+  put_u32(head, static_cast<std::uint32_t>(HistoryMode::kFull));
+  put_u32(head, 0);                              // no per-process counters
+  for (int i = 0; i < 4; ++i) put_u64(head, 0);  // size and the three totals
+  put_u32(head, 0);                              // saw_ll_sc
+  history_rejects(head);
+  // CcModel::load_state: the cache-line count.
+  {
+    const std::string bytes = with_huge_count("");
+    ByteReader r(bytes);
+    CcModel model(CcPolicy::kWriteBack);
+    EXPECT_THROW(model.load_state(r), std::runtime_error);
+  }
+  // decode_world_snapshot: the fault-record, process and resume-log counts.
+  // The snapshot ends with the fault trace and the per-process states, so
+  // their offsets follow from the encoded sizes of those tail sections.
+  {
+    const ExploreBuilder build = signaling_builder(2, 1);
+    const auto snap = snapshot_after(build, {0, 2});
+    const auto proto = snapshot_after(build, {});
+    const std::string wire = encode_world_snapshot(*snap);
+    std::size_t procs_bytes = 4;
+    for (const WorldSnapshot::ProcState& ps : snap->procs) {
+      procs_bytes += 48 + 36 * ps.log.size();
+    }
+    const std::size_t procs_at = wire.size() - procs_bytes;
+    const std::size_t faults_at = procs_at - 4 - 16 * snap->fault_trace.size();
+
+    EXPECT_THROW(
+        decode_world_snapshot(with_huge_count(wire.substr(0, faults_at)),
+                              *proto),
+        std::runtime_error);
+    EXPECT_THROW(
+        decode_world_snapshot(with_huge_count(wire.substr(0, procs_at)),
+                              *proto),
+        std::runtime_error);
+    // One process whose fixed fields are intact but whose log count is huge.
+    std::string one_proc = wire.substr(0, procs_at);
+    put_u32(one_proc, 1);
+    one_proc += wire.substr(procs_at + 4, 44);
+    EXPECT_THROW(decode_world_snapshot(with_huge_count(one_proc), *proto),
+                 std::runtime_error);
+  }
+  // dist::decode_item: the trunk-path count, then the sleep-set count.
+  head.clear();
+  put_u32(head, static_cast<std::uint32_t>(dist::MsgTag::kItem));
+  put_u64(head, 0);  // index
+  put_u64(head, 0);  // base_nodes
+  put_u32(head, 0);  // collect_completes
+  put_schedule(head, {});
+  EXPECT_THROW(dist::decode_item(with_huge_count(head)), std::runtime_error);
+  put_u32(head, 0);  // empty path
+  EXPECT_THROW(dist::decode_item(with_huge_count(head)), std::runtime_error);
 }
 
 // ---- loopback executor: the dist stack minus fork --------------------
@@ -442,86 +471,6 @@ TEST(DistExecutor, LoopbackMatchesInReplayModeToo) {
   dist_opt.dist = &exec;
   const ExploreResult dist = explore_dpor(build, check, dist_opt);
   expect_same_result(inproc, dist);
-}
-
-// ---- fingerprint dedup -----------------------------------------------
-
-// Every op in the signaling algorithms sits inside a call boundary, and
-// call boundaries are observable events — mutually dependent by fiat — so
-// signaling subtrees are never dedup-eligible. Convergent work items need
-// raw programs: proc A rewrites x with its current value (a mutate-class
-// race against B's read whose orders nonetheless reconverge — same store,
-// same last writer, same observed values, same resume logs), B reads x and
-// rewrites y likewise, then both run private tails the trunk is
-// independent of.
-ProcTask rewriter(ProcCtx& ctx, VarId mine, Word keep, VarId other,
-                  VarId scratch, int tail) {
-  co_await ctx.write(mine, keep);
-  co_await ctx.write(mine, keep);
-  co_await ctx.read(other);
-  for (int i = 0; i < tail; ++i) co_await ctx.write(scratch, i + 1);
-}
-
-ProcTask reader_then_rewriter(ProcCtx& ctx, VarId mine, Word keep,
-                              VarId other, VarId scratch, int tail) {
-  co_await ctx.read(other);
-  co_await ctx.write(mine, keep);
-  co_await ctx.write(mine, keep);
-  for (int i = 0; i < tail; ++i) co_await ctx.write(scratch, i + 1);
-}
-
-ExploreBuilder convergent_builder(int tail) {
-  return [=]() {
-    ExploreInstance inst;
-    inst.mem = make_dsm(2);
-    const VarId x = inst.mem->allocate_global(5, "x");
-    const VarId y = inst.mem->allocate_global(7, "y");
-    const VarId ta = inst.mem->allocate_local(0, 0, "ta");
-    const VarId tb = inst.mem->allocate_local(1, 0, "tb");
-    std::vector<Program> programs;
-    programs.emplace_back([=](ProcCtx& c) {
-      return rewriter(c, x, 5, y, ta, tail);
-    });
-    programs.emplace_back([=](ProcCtx& c) {
-      return reader_then_rewriter(c, y, 7, x, tb, tail);
-    });
-    inst.sim = std::make_unique<Simulation>(*inst.mem, std::move(programs));
-    return inst;
-  };
-}
-
-TEST(DedupStates, VerdictEqualWithHitsOnEquivalentSubtrees) {
-  const ExploreBuilder build = convergent_builder(4);
-  const ExploreChecker check = null_checker();
-  DporOptions opt;
-  opt.max_depth = 30;
-  opt.trunk_depth = 6;  // items root right after the convergent race phase
-  opt.counters_only_history = true;  // required by dedup_states
-
-  const ExploreResult plain = explore_dpor(build, check, opt);
-  DporOptions dd = opt;
-  dd.dedup_states = true;
-  const ExploreResult deduped = explore_dpor(build, check, dd);
-
-  // The gate: dedup may only change how outcomes were obtained, never what
-  // the search reports.
-  EXPECT_EQ(deduped.nodes_visited, plain.nodes_visited);
-  EXPECT_EQ(deduped.complete_schedules, plain.complete_schedules);
-  EXPECT_EQ(deduped.truncated_schedules, plain.truncated_schedules);
-  EXPECT_EQ(deduped.exhausted, plain.exhausted);
-  EXPECT_EQ(deduped.violation, plain.violation);
-  EXPECT_EQ(deduped.violating_schedule, plain.violating_schedule);
-  EXPECT_EQ(plain.stats.dedup_hits, 0u);
-  EXPECT_GT(deduped.stats.dedup_hits, 0u)
-      << "this workload must have equivalent subtrees to reuse";
-}
-
-TEST(DedupStates, RequiresCountersOnlyHistory) {
-  const ExploreBuilder build = signaling_builder(2, 1);
-  DporOptions dd;
-  dd.max_depth = 12;
-  dd.dedup_states = true;  // counters_only_history deliberately off
-  EXPECT_THROW(explore_dpor(build, null_checker(), dd), std::exception);
 }
 
 }  // namespace

@@ -7,6 +7,7 @@
 
 #include <memory>
 
+#include "explore_fixtures.h"
 #include "gme/session_gme.h"
 #include "memory/cc_model.h"
 #include "mutex/mcs_lock.h"
@@ -14,7 +15,6 @@
 #include "mutex/ya_lock.h"
 #include "signaling/broken.h"
 #include "signaling/cc_flag.h"
-#include "signaling/checker.h"
 #include "signaling/dsm_registration.h"
 #include "signaling/dsm_single_waiter.h"
 #include "verify/explorer.h"
@@ -49,13 +49,6 @@ ExploreBuilder signaling_builder(bool cc, int n_waiters, int polls,
     inst.sim = std::make_unique<Simulation>(*inst.mem, std::move(programs));
     inst.keepalive = alg;
     return inst;
-  };
-}
-
-ExploreChecker polling_checker() {
-  return [](const History& h) -> std::optional<std::string> {
-    if (const auto v = check_polling_spec(h); v.has_value()) return v->what;
-    return std::nullopt;
   };
 }
 

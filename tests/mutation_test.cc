@@ -20,13 +20,13 @@
 #include <string>
 #include <vector>
 
+#include "explore_fixtures.h"
 #include "memory/shared_memory.h"
 #include "mutex/lock.h"
 #include "mutex/recoverable_lock.h"
 #include "sched/schedulers.h"
 #include "signaling/algorithm.h"
 #include "signaling/broken.h"
-#include "signaling/checker.h"
 #include "verify/dpor.h"
 #include "verify/explorer.h"
 #include "verify/shrink.h"
@@ -167,13 +167,6 @@ ExploreBuilder mixed_polls_builder(std::vector<int> waiter_polls,
     inst.sim = std::make_unique<Simulation>(*inst.mem, std::move(programs));
     inst.keepalive = alg;
     return inst;
-  };
-}
-
-ExploreChecker polling_checker() {
-  return [](const History& h) -> std::optional<std::string> {
-    if (const auto v = check_polling_spec(h); v.has_value()) return v->what;
-    return std::nullopt;
   };
 }
 

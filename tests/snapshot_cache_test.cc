@@ -10,9 +10,9 @@
 #include <string>
 #include <vector>
 
+#include "explore_fixtures.h"
 #include "memory/shared_memory.h"
 #include "signaling/algorithm.h"
-#include "signaling/checker.h"
 #include "signaling/dsm_registration.h"
 #include "verify/dpor.h"
 #include "verify/explorer.h"
@@ -37,13 +37,6 @@ ExploreBuilder signaling_builder(int n_waiters, int polls) {
     inst.sim = std::make_unique<Simulation>(*inst.mem, std::move(programs));
     inst.keepalive = alg;
     return inst;
-  };
-}
-
-ExploreChecker polling_checker() {
-  return [](const History& h) -> std::optional<std::string> {
-    if (const auto v = check_polling_spec(h); v.has_value()) return v->what;
-    return std::nullopt;
   };
 }
 

@@ -19,6 +19,7 @@
 #include <string>
 #include <vector>
 
+#include "explore_fixtures.h"
 #include "memory/shared_memory.h"
 #include "mutex/lock.h"
 #include "mutex/recoverable_lock.h"
@@ -51,13 +52,6 @@ ExploreBuilder signaling_builder(int n_waiters, int polls, Args... args) {
     inst.sim = std::make_unique<Simulation>(*inst.mem, std::move(programs));
     inst.keepalive = alg;
     return inst;
-  };
-}
-
-ExploreChecker polling_checker() {
-  return [](const History& h) -> std::optional<std::string> {
-    if (const auto v = check_polling_spec(h); v.has_value()) return v->what;
-    return std::nullopt;
   };
 }
 
