@@ -2,6 +2,7 @@
 
 #include "common/check.h"
 #include "memory/cc_model.h"
+#include "metrics/publish.h"
 #include "mutex/bakery_lock.h"
 #include "mutex/clh_lock.h"
 #include "mutex/mcs_lock.h"
@@ -20,8 +21,26 @@
 #include "signaling/dsm_registration.h"
 #include "signaling/dsm_single_waiter.h"
 #include "signaling/llsc_registration.h"
+#include "trace/call_stats.h"
 
 namespace rmrsim {
+
+namespace {
+
+/// Factory for a signaling algorithm built from the memory alone.
+template <class Alg>
+SignalingFactory factory_of() {
+  return [](SharedMemory& m) { return std::make_unique<Alg>(m); };
+}
+
+/// What every mutex run publishes, crashy or not.
+void publish_mutex_common(MetricsRegistry& reg, const MutexRunOutcome& o) {
+  publish_simulation(reg, *o.world.sim);
+  reg.set("run.completed", o.completed ? 1.0 : 0.0);
+  reg.set("spec.ok", o.violation.has_value() ? 0.0 : 1.0);
+}
+
+}  // namespace
 
 std::unique_ptr<SharedMemory> make_model_by_name(const std::string& name,
                                                  int nprocs) {
@@ -40,47 +59,20 @@ bool is_model_name(const std::string& name) {
 
 SignalingFactory make_signal_factory_by_name(const std::string& name,
                                              int fixed_home) {
-  if (name == "flag") {
-    return [](SharedMemory& m) { return std::make_unique<CcFlagSignal>(m); };
-  }
-  if (name == "single-waiter") {
-    return [](SharedMemory& m) {
-      return std::make_unique<DsmSingleWaiterSignal>(m);
-    };
-  }
+  if (name == "flag") return factory_of<CcFlagSignal>();
+  if (name == "single-waiter") return factory_of<DsmSingleWaiterSignal>();
   if (name == "registration") {
     return [fixed_home](SharedMemory& m) {
       return std::make_unique<DsmRegistrationSignal>(
           m, static_cast<ProcId>(fixed_home));
     };
   }
-  if (name == "queue") {
-    return [](SharedMemory& m) { return std::make_unique<DsmQueueSignal>(m); };
-  }
-  if (name == "cas") {
-    return [](SharedMemory& m) {
-      return std::make_unique<CasRegistrationSignal>(m);
-    };
-  }
-  if (name == "llsc") {
-    return [](SharedMemory& m) {
-      return std::make_unique<LlscRegistrationSignal>(m);
-    };
-  }
-  if (name == "rw-cas") {
-    return [](SharedMemory& m) {
-      return std::make_unique<RwCasRegistrationSignal>(m);
-    };
-  }
-  if (name == "blocking-leader") {
-    return [](SharedMemory& m) {
-      return std::make_unique<DsmBlockingLeaderSignal>(m);
-    };
-  }
-  if (name == "broken") {
-    return
-        [](SharedMemory& m) { return std::make_unique<BrokenLocalSignal>(m); };
-  }
+  if (name == "queue") return factory_of<DsmQueueSignal>();
+  if (name == "cas") return factory_of<CasRegistrationSignal>();
+  if (name == "llsc") return factory_of<LlscRegistrationSignal>();
+  if (name == "rw-cas") return factory_of<RwCasRegistrationSignal>();
+  if (name == "blocking-leader") return factory_of<DsmBlockingLeaderSignal>();
+  if (name == "broken") return factory_of<BrokenLocalSignal>();
   fail("unknown algorithm '" + name +
        "' (flag|single-waiter|registration|queue|cas|llsc|rw-cas|"
        "blocking-leader|broken)");
@@ -169,13 +161,51 @@ MutexRunOutcome run_mutex_workload(const MutexRunOptions& opt) {
   if (opt.listener != nullptr) opt.listener->flush();
   out.completed = result.all_terminated;
   out.violation = check_mutual_exclusion(sim.history());
-  for (ProcId p = 0; p < opt.nprocs; ++p) {
-    out.passages_done += passages_completed(sim.history(), p);
+  // One pass; passages_completed(h, p) per process would rescan N times.
+  for (const StepRecord& r : sim.history().records()) {
+    if (r.kind == StepRecord::Kind::kEvent &&
+        r.event == EventKind::kCallEnd && r.code == calls::kCritical) {
+      ++out.passages_done;
+    }
   }
   out.rmrs_per_passage =
       static_cast<double>(out.world.mem->ledger().total_rmrs()) /
       static_cast<double>(opt.nprocs * opt.passages);
   return out;
+}
+
+std::optional<SpecViolation> publish_signaling_run(MetricsRegistry& reg,
+                                                   const SignalingRun& run,
+                                                   bool blocking) {
+  publish_simulation(reg, *run.sim);
+  publish_call_costs(reg, per_call_costs(run.sim->history()));
+  reg.set("rmrs.max_waiter", static_cast<double>(run.max_waiter_rmrs()));
+  reg.set("rmrs.signaler", static_cast<double>(run.signaler_rmrs()));
+  reg.set("rmrs.amortized", run.amortized_rmrs());
+  auto violation = blocking ? check_blocking_spec(run.sim->history())
+                            : check_polling_spec(run.sim->history());
+  reg.set("spec.ok", violation.has_value() ? 0.0 : 1.0);
+  return violation;
+}
+
+void publish_mutex_run(MetricsRegistry& reg, const MutexRunOutcome& o) {
+  publish_mutex_common(reg, o);
+  publish_call_costs(reg, per_call_costs(o.world.sim->history()));
+  reg.set("rmrs.per_passage", o.rmrs_per_passage);
+}
+
+void publish_crash_run(MetricsRegistry& reg, const MutexRunOutcome& o) {
+  publish_mutex_common(reg, o);
+  const CrashRunReport rep = analyze_crash_run(o.world.sim->history());
+  reg.set("crash.fifo_inversions", static_cast<double>(rep.fifo_inversions));
+  reg.set("crash.failed_recoveries",
+          static_cast<double>(rep.failed_recoveries));
+  reg.set("run.passages_done", static_cast<double>(o.passages_done));
+  reg.set("rmrs.per_exit",
+          o.passages_done > 0
+              ? static_cast<double>(o.world.mem->ledger().total_rmrs()) /
+                    o.passages_done
+              : -1.0);
 }
 
 }  // namespace rmrsim

@@ -2,10 +2,11 @@
 //
 // One copy of the glue the CLI commands and the experiment registry would
 // otherwise each re-implement: name → model/algorithm/lock construction,
-// recoverable-aware mutex program wiring, and the build/run loop for mutex
-// workloads. The CLI's mutex/explore commands and the sweep experiments
-// use the same factories, so a SweepPoint's model/algorithm strings mean
-// exactly what the CLI flags mean.
+// recoverable-aware mutex program wiring, the build/run loop for mutex
+// workloads, and the publishers that say what a run measured. The CLI and
+// the sweep experiments use the same factories and publishers, so a
+// SweepPoint's strings mean what the CLI flags mean and a CLI metric row is
+// the sweep point's metric of the same name.
 #pragma once
 
 #include <cstdint>
@@ -16,7 +17,9 @@
 #include <vector>
 
 #include "memory/shared_memory.h"
+#include "metrics/registry.h"
 #include "mutex/lock.h"
+#include "signaling/checker.h"
 #include "signaling/workload.h"
 
 namespace rmrsim {
@@ -98,5 +101,22 @@ struct MutexRunOutcome {
 /// Builds a world, runs it under the scheduler/fault plan the options
 /// select, and checks mutual exclusion.
 MutexRunOutcome run_mutex_workload(const MutexRunOptions& opt);
+
+/// What a signaling run measured: the simulation, its per-call costs,
+/// rmrs.max_waiter / rmrs.signaler / rmrs.amortized, and spec.ok against
+/// the polling (or, with `blocking`, the blocking) specification. Returns
+/// the spec violation so a caller can print its reason.
+std::optional<SpecViolation> publish_signaling_run(MetricsRegistry& reg,
+                                                   const SignalingRun& run,
+                                                   bool blocking);
+
+/// What a mutex run measured: the simulation, its per-call costs,
+/// rmrs.per_passage, run.completed, and spec.ok (mutual exclusion).
+void publish_mutex_run(MetricsRegistry& reg, const MutexRunOutcome& o);
+
+/// What a crash/recovery run measured: the simulation,
+/// crash.fifo_inversions, crash.failed_recoveries, run.passages_done,
+/// rmrs.per_exit (-1 when no passage completed), run.completed, spec.ok.
+void publish_crash_run(MetricsRegistry& reg, const MutexRunOutcome& o);
 
 }  // namespace rmrsim

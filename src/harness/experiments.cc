@@ -14,14 +14,11 @@
 #include "lowerbound/adversary.h"
 #include "memory/cc_model.h"
 #include "metrics/publish.h"
-#include "sched/fault.h"
 #include "sched/schedulers.h"
 #include "signaling/cc_flag.h"
-#include "signaling/checker.h"
 #include "signaling/dsm_fixed.h"
 #include "signaling/dsm_registration.h"
 #include "signaling/workload.h"
-#include "trace/call_stats.h"
 #include "workload/generators.h"
 #include "workload/replay.h"
 
@@ -31,9 +28,8 @@ namespace {
 
 // ---- shared point runners ---------------------------------------------
 
-/// Standard signaling workload point: run, verify the spec, publish the
-/// simulation plus the three headline gauges every signaling experiment
-/// reads (rmrs.max_waiter / rmrs.signaler / rmrs.amortized).
+/// Standard signaling workload point: run, then publish what the run
+/// measured (publish_signaling_run).
 MetricsRegistry run_signaling_point(const std::string& model, int n_waiters,
                                     const SignalingFactory& factory,
                                     SignalingWorkloadOptions opt) {
@@ -41,15 +37,7 @@ MetricsRegistry run_signaling_point(const std::string& model, int n_waiters,
   MetricsRegistry reg;
   auto run = run_signaling_workload(make_model_by_name(model, n_waiters + 1),
                                     factory, opt);
-  publish_simulation(reg, *run.sim);
-  publish_call_costs(reg, per_call_costs(run.sim->history()));
-  reg.set("rmrs.max_waiter", static_cast<double>(run.max_waiter_rmrs()));
-  reg.set("rmrs.signaler", static_cast<double>(run.signaler_rmrs()));
-  reg.set("rmrs.amortized", run.amortized_rmrs());
-  const auto violation = opt.blocking
-                             ? check_blocking_spec(run.sim->history())
-                             : check_polling_spec(run.sim->history());
-  reg.set("spec.ok", violation.has_value() ? 0.0 : 1.0);
+  publish_signaling_run(reg, run, opt.blocking);
   return reg;
 }
 
@@ -84,16 +72,9 @@ MetricsRegistry run_mutex_point(const std::string& model,
   opt.nprocs = n;
   opt.passages = passages;
   opt.listener = listener;
-  opt.make_lock = [lock_name](SharedMemory& mem) {
-    return make_lock_by_name(lock_name, mem);
-  };
-  const MutexRunOutcome o = run_mutex_workload(opt);
+  opt.make_lock = lock_factory_by_name(lock_name);
   MetricsRegistry reg;
-  publish_simulation(reg, *o.world.sim);
-  publish_call_costs(reg, per_call_costs(o.world.sim->history()));
-  reg.set("rmrs.per_passage", o.rmrs_per_passage);
-  reg.set("run.completed", o.completed ? 1.0 : 0.0);
-  reg.set("spec.ok", o.violation.has_value() ? 0.0 : 1.0);
+  publish_mutex_run(reg, run_mutex_workload(opt));
   return reg;
 }
 
@@ -480,25 +461,9 @@ MetricsRegistry e9_runner(const SweepPoint& p) {
   opt.passages = 4;
   opt.fault_plan = p.fault_plan;
   opt.max_steps = 60'000'000;
-  opt.make_lock = [](SharedMemory& mem) {
-    return make_lock_by_name("recoverable", mem);
-  };
-  const MutexRunOutcome o = run_mutex_workload(opt);
+  opt.make_lock = lock_factory_by_name("recoverable");
   MetricsRegistry reg;
-  publish_simulation(reg, *o.world.sim);
-  const CrashRunReport rep = analyze_crash_run(o.world.sim->history());
-  reg.set("crash.fifo_inversions", static_cast<double>(rep.fifo_inversions));
-  reg.set("crash.failed_recoveries",
-          static_cast<double>(rep.failed_recoveries));
-  reg.set("rmrs.per_exit",
-          o.passages_done > 0
-              ? static_cast<double>(
-                    o.world.mem->ledger().total_rmrs()) /
-                    o.passages_done
-              : -1.0);
-  reg.set("run.completed", o.completed ? 1.0 : 0.0);
-  reg.set("run.passages_done", static_cast<double>(o.passages_done));
-  reg.set("spec.ok", rep.mutual_exclusion_ok ? 1.0 : 0.0);
+  publish_crash_run(reg, run_mutex_workload(opt));
   return reg;
 }
 
@@ -800,21 +765,26 @@ BenchArtifact run_experiment(const Experiment& exp, int workers,
   return make_artifact(exp, run_sweep(spec, exp.runner, workers), generator);
 }
 
+bool verdicts_ok(const MetricsRegistry& reg) {
+  // adv.in_scope is a classification, not a verdict: e6's cas-raw rows are
+  // out of scope by design.
+  static constexpr const char* kVerdicts[] = {
+      "spec.ok", "run.completed", "protocol.invariants_ok",
+      "adv.invariants_ok"};
+  for (const char* v : kVerdicts) {
+    if (reg.has_value(v) && reg.value(v) != 1.0) return false;
+  }
+  return true;
+}
+
 bool artifact_matches(const BenchArtifact& artifact) {
   for (const FittedSeries& fs : artifact.series) {
     if (!fs.matches_expectation) return false;
   }
   // A fit cannot see a verdict: a series stuck at 0 fits O(1) as well as
   // one stuck at 1. So every 0/1 verdict a point carries must read 1.
-  // (adv.in_scope is a classification, not a verdict: e6's cas-raw rows
-  // are out of scope by design.)
-  static constexpr const char* kVerdicts[] = {
-      "spec.ok", "run.completed", "protocol.invariants_ok",
-      "adv.invariants_ok"};
   for (const SweepPointResult& pr : artifact.result.points) {
-    for (const char* v : kVerdicts) {
-      if (pr.metrics.has_value(v) && pr.metrics.value(v) != 1.0) return false;
-    }
+    if (!verdicts_ok(pr.metrics)) return false;
   }
   return true;
 }

@@ -55,10 +55,14 @@ BenchArtifact run_experiment(const Experiment& exp, int workers,
 BenchArtifact make_artifact(const Experiment& exp, SweepResult result,
                             const std::string& generator);
 
+/// True iff every verdict metric `reg` carries (spec.ok, run.completed,
+/// protocol.invariants_ok, adv.invariants_ok) is 1 — the exit rule of
+/// `rmrsim_cli signal|mutex` and, per point, of artifact_matches.
+bool verdicts_ok(const MetricsRegistry& reg);
+
 /// True iff every series with a pinned expectation fitted a matching
-/// class and every point's verdict metrics (spec.ok, run.completed,
-/// protocol.invariants_ok, adv.invariants_ok — whichever it carries) are
-/// 1 — the `rmrsim_cli sweep --check` / CI gate.
+/// class and every point passes verdicts_ok — the `rmrsim_cli sweep
+/// --check` / CI gate.
 bool artifact_matches(const BenchArtifact& artifact);
 
 /// One row per point: algorithm / model / N, the fault plan when the grid

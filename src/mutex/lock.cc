@@ -83,20 +83,14 @@ int passages_completed(const History& h, ProcId p) {
 
 CrashRunReport analyze_crash_run(const History& h) {
   CrashRunReport rep;
-  rep.mutual_exclusion_ok = !check_mutual_exclusion(h).has_value();
   std::map<ProcId, std::int64_t> acquiring;  // open kAcquire span -> begin idx
   std::map<ProcId, bool> recovering;         // open kRecover span
   for (const StepRecord& r : h.records()) {
     if (r.kind != StepRecord::Kind::kEvent) continue;
     if (r.event == EventKind::kCrash) {
-      ++rep.crashes;
       if (recovering[r.proc]) ++rep.failed_recoveries;
       acquiring.erase(r.proc);
       recovering[r.proc] = false;
-      continue;
-    }
-    if (r.event == EventKind::kRecover) {
-      ++rep.recoveries;
       continue;
     }
     if (r.event == EventKind::kCallBegin && r.code == calls::kRecover) {

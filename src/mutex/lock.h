@@ -80,20 +80,18 @@ std::optional<MutexViolation> check_mutual_exclusion(const History& h);
 /// Completed passages (kCritical call ends) by process p.
 int passages_completed(const History& h, ProcId p);
 
-/// What a crashy run preserved and what it gave up, extracted from the
-/// history. Mutual exclusion is a verdict (it must survive crashes);
-/// FIFO/fairness is a measurement (crashes legitimately reorder waiters —
-/// a recovered process re-enters the queue from scratch).
+/// What a crashy run gave up, extracted from the history. FIFO/fairness is
+/// a measurement, not a verdict: crashes legitimately reorder waiters — a
+/// recovered process re-enters the queue from scratch. (Mutual exclusion,
+/// which must survive crashes, is check_mutual_exclusion's; the crash and
+/// recovery counts are History::crash_events / recovery_events.)
 struct CrashRunReport {
-  int crashes = 0;
-  int recoveries = 0;
   /// Crashes that struck while the victim's calls::kRecover span was open:
   /// the recovery itself was cut down and had to be re-run.
   int failed_recoveries = 0;
   /// Critical-section entries that overtook a process which had started
   /// acquiring earlier and was still waiting.
   int fifo_inversions = 0;
-  bool mutual_exclusion_ok = true;
 };
 
 CrashRunReport analyze_crash_run(const History& h);

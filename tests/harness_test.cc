@@ -378,6 +378,37 @@ TEST(Drive, MutexWorkloadRunsCleanUnderEachScheduler) {
   EXPECT_TRUE(run_mutex_workload(opt).completed);
 }
 
+TEST(Drive, OnePassPassageCountEqualsPerProcessSum) {
+  // run_mutex_workload counts every kCritical end in one pass;
+  // passages_completed(h, p) per process is the oracle.
+  MutexRunOptions opt;
+  opt.model = "dsm";
+  opt.nprocs = 5;
+  opt.passages = 3;
+  opt.make_lock = lock_factory_by_name("mcs");
+  const auto per_process_sum = [&opt](const MutexRunOutcome& o) {
+    int total = 0;
+    for (ProcId p = 0; p < opt.nprocs; ++p) {
+      total += passages_completed(o.world.sim->history(), p);
+    }
+    return total;
+  };
+  const MutexRunOutcome clean = run_mutex_workload(opt);
+  ASSERT_TRUE(clean.completed);
+  EXPECT_EQ(clean.passages_done, 15);
+  EXPECT_EQ(clean.passages_done, per_process_sum(clean));
+
+  opt.nprocs = 6;
+  opt.passages = 4;
+  opt.make_lock = lock_factory_by_name("recoverable");
+  opt.fault_plan = "random:rate=0.01,seed=1234,recover=50,max=64";
+  opt.max_steps = 60'000'000;
+  const MutexRunOutcome crashy = run_mutex_workload(opt);
+  ASSERT_GT(crashy.world.sim->history().crash_events(), 0u);
+  EXPECT_GT(crashy.passages_done, 0);
+  EXPECT_EQ(crashy.passages_done, per_process_sum(crashy));
+}
+
 // ---- reduced experiment runs (the CI gate, in-process) ------------------
 
 TEST(Experiments, RegistryHasAllNineAndLookupWorks) {

@@ -18,7 +18,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <fstream>
 #include <limits>
 #include <map>
 #include <optional>
@@ -109,21 +108,6 @@ Args parse(int argc, char** argv, int first) {
   return a;
 }
 
-// Name → model/algorithm/lock construction lives in harness/drive.h,
-// shared with the sweep experiments; unknown names throw and
-// are reported by main().
-std::unique_ptr<SharedMemory> make_model(const std::string& name, int nprocs) {
-  return make_model_by_name(name, nprocs);
-}
-
-// `fixed_home`: which process hosts the fixed-signaler state of the
-// registration variant. The workload command uses the actual signaler
-// (nprocs-1); the adversary command uses a waiter (n-2) because the
-// Lemma 6.13 signaler must have an unwritten module.
-SignalingFactory make_signal_alg(const std::string& name, int fixed_home) {
-  return make_signal_factory_by_name(name, fixed_home);
-}
-
 /// The --protocols list: "all" (or the bare flag) or a comma list of
 /// names; the fleet rejects unknown ones.
 std::vector<std::string> protocols_arg(const Args& a) {
@@ -149,42 +133,34 @@ ProtocolFleet make_protocol_fleet(const Args& a, int nprocs) {
       parse_cycle_costs(a.get("cycle-cost", "")));
 }
 
-/// Prints the fleet's tallies; returns false if any protocol's invariants
-/// are violated (callers fold that into the exit code).
-bool print_protocol_fleet(const ProtocolFleet& fleet) {
-  if (fleet.caches().empty()) return true;
-  bool ok = true;
+/// The metric/value table of a signal or mutex run: `rows` of `reg`, then
+/// the --protocols fleet's, skipping any the registry does not carry. signal
+/// and mutex publish through the sweep runners' publishers, so each row is
+/// the metric a sweep point of the same configuration carries, printed as
+/// BENCH_*.json prints it; their exit code is that registry's verdicts_ok.
+TextTable run_table(const MetricsRegistry& reg, std::vector<std::string> rows,
+                    const Args& a) {
+  for (const std::string& p : protocols_arg(a)) {
+    for (const char* m : {"transfers", "invalidations", "updates", "total"}) {
+      rows.push_back("msgs." + p + "." + m);
+    }
+    rows.push_back("cycles." + p + ".total");
+  }
+  rows.insert(rows.end(), {"wb.buffered", "wb.coalesced", "wb.forwarded",
+                           "wb.drained", "protocol.invariants_ok"});
   TextTable t;
-  t.set_header({"protocol", "transfers", "invalidations", "updates",
-                "total msgs", "cycles", "invariants"});
-  for (const auto& c : fleet.caches()) {
-    const auto violation = c->check_invariants();
-    if (violation) ok = false;
-    t.add_row({std::string(c->name()),
-               std::to_string(c->transfer_messages()),
-               std::to_string(c->invalidation_messages()),
-               std::to_string(c->update_messages()),
-               std::to_string(c->total_messages()),
-               std::to_string(c->total_cycles()),
-               violation ? "VIOLATED: " + *violation : "ok"});
+  t.set_header({"metric", "value"});
+  for (const std::string& name : rows) {
+    if (reg.has_value(name)) {
+      t.add_row({name, format_metric_number(reg.value(name))});
+    }
   }
-  std::fputs(t.render().c_str(), stdout);
-  if (const WriteBuffer* wb = fleet.write_buffer()) {
-    std::printf(
-        "write buffer: %llu buffered, %llu coalesced, %llu reads forwarded, "
-        "%llu drained\n",
-        static_cast<unsigned long long>(wb->buffered_writes()),
-        static_cast<unsigned long long>(wb->coalesced_writes()),
-        static_cast<unsigned long long>(wb->forwarded_reads()),
-        static_cast<unsigned long long>(wb->drained_writes()));
-  }
-  return ok;
+  return t;
 }
 
 int cmd_signal(const Args& a) {
   const int waiters = static_cast<int>(a.get_int("waiters", 8, 1, kIntMax - 1));
   const int nprocs = waiters + 1;
-  const std::string alg_name = a.get("alg", "flag");
   SignalingWorkloadOptions opt;
   opt.n_waiters = waiters;
   opt.signaler_idle_polls =
@@ -195,43 +171,44 @@ int cmd_signal(const Args& a) {
   if (opt.blocking) opt.signaler_idle_polls = 0;
   ProtocolFleet fleet = make_protocol_fleet(a, nprocs);
   opt.listener = fleet.listener();
-  auto run =
-      run_signaling_workload(make_model(a.get("model", "dsm"), nprocs),
-                             make_signal_alg(alg_name, nprocs - 1), opt);
+  // The registration variant's fixed signaler state lives with the actual
+  // signaler, process nprocs-1.
+  auto run = run_signaling_workload(
+      make_model_by_name(a.get("model", "dsm"), nprocs),
+      make_signal_factory_by_name(a.get("alg", "flag"), nprocs - 1), opt);
+  MetricsRegistry reg;
+  const auto violation = publish_signaling_run(reg, run, opt.blocking);
+  fleet.publish(reg);
+  if (violation) {
+    std::fprintf(stderr, "signal: spec violated: %s\n",
+                 violation->what.c_str());
+  }
 
   const std::string trace = a.get("trace", "");
   if (trace == "csv") {
     std::fputs(history_to_csv(run.sim->history()).c_str(), stdout);
-    return 0;
-  }
-  if (trace == "json") {
+  } else if (trace == "json") {
     std::fputs(history_to_json_lines(run.sim->history()).c_str(), stdout);
-    return 0;
+  } else {
+    if (trace == "timeline") {
+      std::fputs(history_timeline(run.sim->history()).c_str(), stdout);
+    }
+    std::printf("algorithm %s, model %s, %d waiters + 1 signaler\n",
+                run.alg->name().data(), run.mem->model().name().data(),
+                waiters);
+    TextTable t = run_table(reg,
+                            {"history.steps", "ledger.total_rmrs",
+                             "rmrs.max_waiter", "rmrs.signaler",
+                             "rmrs.amortized", "spec.ok"},
+                            a);
+    // Not a published metric: adding it to the registry would change every
+    // E1/E3/E8 point's metric set.
+    t.add_row({"steady-state poll RMRs (max)",
+               std::to_string(max_rmrs_from_index(
+                   per_call_costs(run.sim->history()), calls::kPoll, 1))});
+    std::fputs(t.render().c_str(), stdout);
   }
-  if (trace == "timeline") {
-    std::fputs(history_timeline(run.sim->history()).c_str(), stdout);
-  }
-
-  std::printf("algorithm %s, model %s, %d waiters + 1 signaler\n",
-              run.alg->name().data(), run.mem->model().name().data(),
-              waiters);
-  TextTable t;
-  t.set_header({"metric", "value"});
-  t.add_row({"steps", std::to_string(run.sim->history().size())});
-  t.add_row({"total RMRs", std::to_string(run.mem->ledger().total_rmrs())});
-  t.add_row({"max waiter RMRs", std::to_string(run.max_waiter_rmrs())});
-  t.add_row({"signaler RMRs", std::to_string(run.signaler_rmrs())});
-  t.add_row({"amortized RMRs", fixed(run.amortized_rmrs())});
-  const auto costs = per_call_costs(run.sim->history());
-  t.add_row({"steady-state poll RMRs (max)",
-             std::to_string(max_rmrs_from_index(costs, calls::kPoll, 1))});
-  const auto violation = opt.blocking
-                             ? check_blocking_spec(run.sim->history())
-                             : check_polling_spec(run.sim->history());
-  t.add_row({"spec", violation ? "VIOLATED: " + violation->what : "ok"});
-  std::fputs(t.render().c_str(), stdout);
-  const bool protocols_ok = print_protocol_fleet(fleet);
-  return violation || !protocols_ok ? 1 : 0;
+  return verdicts_ok(reg) ? 0 : 1;
 }
 
 int cmd_mutex(const Args& a) {
@@ -243,34 +220,73 @@ int cmd_mutex(const Args& a) {
   opt.seed = static_cast<std::uint64_t>(a.get_int("seed", 0, 0, kLongMax));
   opt.fault_plan = a.get("fault-plan", "");
   // A crashed non-recoverable lock wedges forever; --max-steps bounds how
-  // long we spin before reporting "completed NO".
+  // long we spin before reporting run.completed 0.
   opt.max_steps = static_cast<std::uint64_t>(
       a.get_int("max-steps", 500'000'000, 0, kLongMax));
   ProtocolFleet fleet = make_protocol_fleet(a, opt.nprocs);
   opt.listener = fleet.listener();
   const MutexRunOutcome o = run_mutex_workload(opt);
+  MetricsRegistry reg;
+  if (opt.fault_plan.empty()) {
+    publish_mutex_run(reg, o);
+  } else {
+    publish_crash_run(reg, o);
+  }
+  fleet.publish(reg);
+  if (o.violation) {
+    std::fprintf(stderr, "mutex: mutual exclusion violated: %s\n",
+                 o.violation->what.c_str());
+  }
   std::printf("lock %s, model %s, %d procs x %d passages\n",
               o.world.lock->name().data(), o.world.mem->model().name().data(),
               opt.nprocs, opt.passages);
-  TextTable t;
-  t.set_header({"metric", "value"});
-  t.add_row({"completed", o.completed ? "yes" : "NO"});
-  t.add_row(
-      {"total RMRs", std::to_string(o.world.mem->ledger().total_rmrs())});
-  t.add_row({"RMRs/passage", fixed(o.rmrs_per_passage)});
-  t.add_row({"mutual exclusion",
-             o.violation ? "VIOLATED: " + o.violation->what : "ok"});
-  if (!opt.fault_plan.empty()) {
-    const CrashRunReport rep = analyze_crash_run(o.world.sim->history());
-    t.add_row({"crashes", std::to_string(rep.crashes)});
-    t.add_row({"recoveries", std::to_string(rep.recoveries)});
-    t.add_row({"failed recoveries", std::to_string(rep.failed_recoveries)});
-    t.add_row({"FIFO inversions (reported, not asserted)",
-               std::to_string(rep.fifo_inversions)});
-  }
+  // crash.fifo_inversions is reported, not asserted: crashes legitimately
+  // reorder waiters.
+  const TextTable t = run_table(
+      reg,
+      {"history.steps", "ledger.total_rmrs", "rmrs.per_passage",
+       "run.passages_done", "rmrs.per_exit", "history.crashes",
+       "history.recoveries", "crash.failed_recoveries",
+       "crash.fifo_inversions", "run.completed", "spec.ok"},
+      a);
   std::fputs(t.render().c_str(), stdout);
-  const bool protocols_ok = print_protocol_fleet(fleet);
-  return o.violation || !o.completed || !protocols_ok ? 1 : 0;
+  return verdicts_ok(reg) ? 0 : 1;
+}
+
+/// Reads --golden FILE before the run, so a bad path fails in milliseconds
+/// rather than after the measurement. False (after saying why) if `path` is
+/// set but unreadable; `cmd` names the subcommand.
+bool read_golden(const char* cmd, const std::string& path,
+                 std::string& bytes) {
+  if (path.empty()) return true;
+  std::optional<std::string> read = read_file(path);
+  if (read) {
+    bytes = std::move(*read);
+    return true;
+  }
+  std::fprintf(stderr,
+               "%s --golden: cannot read '%s' (no such file or not "
+               "readable)\n",
+               cmd, path.c_str());
+  return false;
+}
+
+/// Byte-compares an artifact's JSON against the golden read_golden read.
+/// Returns false (after saying why) on a mismatch, true on a match or when
+/// no --golden was given.
+bool golden_matches(const char* cmd, const std::string& path,
+                    const std::string& golden, const std::string& json) {
+  if (path.empty()) return true;
+  if (golden != json) {
+    std::fprintf(stderr,
+                 "%s --golden: artifact differs from %s — the measured "
+                 "results changed (run with RMRSIM_GIT_DESCRIBE pinned and "
+                 "--deterministic to reproduce byte-exactly)\n",
+                 cmd, path.c_str());
+    return false;
+  }
+  std::printf("golden match: %s\n", path.c_str());
+  return true;
 }
 
 int cmd_sweep(const Args& a) {
@@ -294,26 +310,11 @@ int cmd_sweep(const Args& a) {
   }
   const int workers = static_cast<int>(a.get_int("workers", 1, 1, kIntMax));
   const int max_n = static_cast<int>(a.get_int("max-n", 0, 0, kIntMax));
-  // Create --out and read the golden file before the sweep runs, not
-  // after: a bad path should fail in milliseconds, not after minutes of
-  // measurement.
   const std::string out_dir = a.get("out", ".");
   ensure_dir(out_dir);
   const std::string golden_path = a.get("golden", "");
-  std::string golden_bytes;
-  if (!golden_path.empty()) {
-    std::ifstream golden(golden_path, std::ios::binary);
-    if (!golden.good()) {
-      std::fprintf(stderr,
-                   "sweep --golden: cannot read '%s' (no such file or not "
-                   "readable)\n",
-                   golden_path.c_str());
-      return 3;
-    }
-    std::stringstream buf;
-    buf << golden.rdbuf();
-    golden_bytes = buf.str();
-  }
+  std::string golden;
+  if (!read_golden("sweep", golden_path, golden)) return 3;
   const BenchArtifact artifact =
       run_experiment(*exp, workers, "rmrsim_cli sweep", max_n);
   std::printf("experiment %s: %zu points, %d workers, %.1f ms\n%s\n",
@@ -329,16 +330,9 @@ int cmd_sweep(const Args& a) {
   const std::string path =
       write_artifact(artifact, out_dir, !deterministic);
   std::printf("wrote %s\n", path.c_str());
-  if (!golden_path.empty()) {
-    if (golden_bytes != artifact_to_json(artifact, !deterministic)) {
-      std::fprintf(stderr,
-                   "sweep --golden: artifact differs from %s — the sweep's "
-                   "measured results changed (run with RMRSIM_GIT_DESCRIBE "
-                   "pinned and --deterministic to reproduce byte-exactly)\n",
-                   golden_path.c_str());
-      return 3;
-    }
-    std::printf("golden match: %s\n", golden_path.c_str());
+  if (!golden_matches("sweep", golden_path, golden,
+                      artifact_to_json(artifact, !deterministic))) {
+    return 3;
   }
   if (a.has("check") && !artifact_matches(artifact)) {
     std::fprintf(stderr,
@@ -414,21 +408,9 @@ int cmd_trace(const Args& a) {
     ensure(!models.empty(), "--models: empty model list");
   }
 
-  // Same early-golden-read discipline as cmd_sweep: a typo'd path fails
-  // before the replay runs, not after.
   const std::string golden_path = a.get("golden", "");
-  std::string golden_bytes;
-  if (!golden_path.empty()) {
-    std::ifstream golden(golden_path, std::ios::binary);
-    if (!golden.good()) {
-      std::fprintf(stderr, "trace --golden: cannot read '%s'\n",
-                   golden_path.c_str());
-      return 3;
-    }
-    std::stringstream buf;
-    buf << golden.rdbuf();
-    golden_bytes = buf.str();
-  }
+  std::string golden;
+  if (!read_golden("trace", golden_path, golden)) return 3;
 
   SweepSpec spec;
   spec.name = "t1_" + source;
@@ -488,16 +470,9 @@ int cmd_trace(const Args& a) {
   ensure_dir(out_dir);
   const std::string path = write_artifact(artifact, out_dir, !deterministic);
   std::printf("wrote %s\n", path.c_str());
-  if (!golden_path.empty()) {
-    if (golden_bytes != artifact_to_json(artifact, !deterministic)) {
-      std::fprintf(stderr,
-                   "trace --golden: artifact differs from %s — the replay's "
-                   "measured results changed (run with RMRSIM_GIT_DESCRIBE "
-                   "pinned and --deterministic to reproduce byte-exactly)\n",
-                   golden_path.c_str());
-      return 3;
-    }
-    std::printf("golden match: %s\n", golden_path.c_str());
+  if (!golden_matches("trace", golden_path, golden,
+                      artifact_to_json(artifact, !deterministic))) {
+    return 3;
   }
   if (!invariants_ok) {
     std::fprintf(stderr, "trace: protocol invariants violated\n");
@@ -515,12 +490,14 @@ int cmd_adversary(const Args& a) {
   c.erase_during_chase = !a.has("no-erase");
   const std::string model = a.get("model", "dsm");
   if (model != "dsm") {
-    c.make_memory = [model](int k) { return make_model(model, k); };
+    c.make_memory = [model](int k) { return make_model_by_name(model, k); };
     c.construction = Construction::kLenient;  // strict requires DSM
     c.erase_during_chase = false;
   }
-  SignalingAdversary adv(make_signal_alg(a.get("alg", "registration"), n - 2),
-                         c);
+  // The registration variant's fixed signaler state lives with a waiter,
+  // process n-2: the Lemma 6.13 signaler must have an unwritten module.
+  SignalingAdversary adv(
+      make_signal_factory_by_name(a.get("alg", "registration"), n - 2), c);
   const auto report = adv.run();
   std::fputs(report.to_string().c_str(), stdout);
   return report.spec_violation ? 1 : 0;
@@ -531,7 +508,7 @@ int cmd_gme(const Args& a) {
   const int passages = static_cast<int>(a.get_int("passages", 3, 1, kIntMax));
   const int n_sessions =
       static_cast<int>(a.get_int("sessions", 2, 1, kIntMax));
-  auto mem = make_model(a.get("model", "dsm"), nprocs);
+  auto mem = make_model_by_name(a.get("model", "dsm"), nprocs);
   SessionGme alg(*mem, std::make_unique<McsLock>(*mem));
   std::vector<Program> programs;
   for (int i = 0; i < nprocs; ++i) {
@@ -601,12 +578,14 @@ int cmd_explore(const Args& a, const char* argv0) {
         static_cast<int>(a.get_int("waiters", 2, 1, kIntMax - 1));
     const int polls = static_cast<int>(a.get_int("polls", 1, 0, kIntMax));
     const int nprocs = waiters + 1;
-    make_model(model, nprocs);  // validate the name before workers spawn
+    make_model_by_name(model, nprocs);  // validate before workers spawn
+    // The registration variant's fixed signaler state lives with the
+    // actual signaler, process nprocs-1.
     const SignalingFactory factory =
-        make_signal_alg(a.get("alg", "registration"), nprocs - 1);
+        make_signal_factory_by_name(a.get("alg", "registration"), nprocs - 1);
     build = [=]() {
       ExploreInstance inst;
-      inst.mem = make_model(model, nprocs);
+      inst.mem = make_model_by_name(model, nprocs);
       std::shared_ptr<SignalingAlgorithm> alg{factory(*inst.mem)};
       std::vector<Program> programs;
       for (int i = 0; i < waiters; ++i) {
@@ -637,10 +616,10 @@ int cmd_explore(const Args& a, const char* argv0) {
     const std::string lock_name = a.get("lock", "tas");
     // Validates the names before workers spawn.
     const LockFactory factory = lock_factory_by_name(lock_name);
-    make_model(model, nprocs);
+    make_model_by_name(model, nprocs);
     build = [=]() {
       ExploreInstance inst;
-      inst.mem = make_model(model, nprocs);
+      inst.mem = make_model_by_name(model, nprocs);
       std::shared_ptr<MutexAlgorithm> lock = factory(*inst.mem);
       inst.sim = std::make_unique<Simulation>(
           *inst.mem, make_mutex_programs(*inst.mem, lock, passages));
@@ -928,6 +907,9 @@ void usage() {
       "                        | rmr:proc=P,n=N[,recover=R]\n"
       "                        | random:rate=F[,seed=S][,recover=R][,max=M]]\n"
       "            [--max-steps B]  (bound for wedged crash runs)\n"
+      "            signal and mutex print the run's metrics under the names\n"
+      "            sweep artifacts use and exit 1 iff spec.ok, run.completed\n"
+      "            or protocol.invariants_ok is not 1 (any --trace mode)\n"
       "  adversary --alg A --n N [--lenient] [--no-erase] [--model M]\n"
       "  gme       --procs N --sessions K --passages P --model M\n"
       "  explore   --target signal|mutex --model M [--depth D]\n"
