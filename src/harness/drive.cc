@@ -100,40 +100,35 @@ LockFactory lock_factory_by_name(const std::string& name) {
   return [name](SharedMemory& mem) { return make_lock_by_name(name, mem); };
 }
 
-std::vector<Program> make_mutex_programs(
-    SharedMemory& mem, const std::shared_ptr<MutexAlgorithm>& lock,
-    int passages) {
-  const int nprocs = mem.nprocs();
-  std::vector<Program> programs;
-  programs.reserve(static_cast<std::size_t>(nprocs));
-  if (auto* rec = dynamic_cast<RecoverableMutexAlgorithm*>(lock.get())) {
-    std::vector<VarId> done;
-    for (int p = 0; p < nprocs; ++p) {
-      done.push_back(mem.allocate_global(0, "done"));
-    }
-    for (int p = 0; p < nprocs; ++p) {
-      programs.emplace_back([lock, rec, dv = done[p], passages](ProcCtx& ctx) {
-        return recoverable_mutex_worker(ctx, rec, dv, passages);
-      });
-    }
-  } else {
-    for (int p = 0; p < nprocs; ++p) {
-      programs.emplace_back([lock, passages](ProcCtx& ctx) {
-        return mutex_worker(ctx, lock.get(), passages);
-      });
-    }
-  }
-  return programs;
-}
-
 MutexWorld build_mutex_world(const MutexRunOptions& opt) {
   ensure(static_cast<bool>(opt.make_lock), "mutex run needs a lock factory");
   MutexWorld w;
   w.mem = make_model_by_name(opt.model, opt.nprocs);
   if (opt.listener != nullptr) w.mem->set_listener(opt.listener);
   w.lock = opt.make_lock(*w.mem);
-  w.sim = std::make_unique<Simulation>(
-      *w.mem, make_mutex_programs(*w.mem, w.lock, opt.passages));
+  // Each program holds the lock: snapshots share the programs and may
+  // outlive this world.
+  std::vector<Program> programs;
+  programs.reserve(static_cast<std::size_t>(opt.nprocs));
+  if (auto* rec = dynamic_cast<RecoverableMutexAlgorithm*>(w.lock.get())) {
+    for (int p = 0; p < opt.nprocs; ++p) {
+      w.done.push_back(w.mem->allocate_global(0, "done"));
+    }
+    for (const VarId dv : w.done) {
+      programs.emplace_back(
+          [lock = w.lock, rec, dv, passages = opt.passages](ProcCtx& ctx) {
+            return recoverable_mutex_worker(ctx, rec, dv, passages);
+          });
+    }
+  } else {
+    for (int p = 0; p < opt.nprocs; ++p) {
+      programs.emplace_back(
+          [lock = w.lock, passages = opt.passages](ProcCtx& ctx) {
+            return mutex_worker(ctx, lock.get(), passages);
+          });
+    }
+  }
+  w.sim = std::make_unique<Simulation>(*w.mem, std::move(programs));
   return w;
 }
 
@@ -161,17 +156,79 @@ MutexRunOutcome run_mutex_workload(const MutexRunOptions& opt) {
   if (opt.listener != nullptr) opt.listener->flush();
   out.completed = result.all_terminated;
   out.violation = check_mutual_exclusion(sim.history());
-  // One pass; passages_completed(h, p) per process would rescan N times.
-  for (const StepRecord& r : sim.history().records()) {
-    if (r.kind == StepRecord::Kind::kEvent &&
-        r.event == EventKind::kCallEnd && r.code == calls::kCritical) {
-      ++out.passages_done;
+  if (!out.world.done.empty()) {
+    for (const VarId v : out.world.done) {
+      out.passages_done += static_cast<int>(out.world.mem->store().value(v));
+    }
+  } else {
+    // One pass; passages_completed(h, p) per process would rescan N times.
+    for (const StepRecord& r : sim.history().records()) {
+      if (r.kind == StepRecord::Kind::kEvent &&
+          r.event == EventKind::kCallEnd && r.code == calls::kCritical) {
+        ++out.passages_done;
+      }
     }
   }
   out.rmrs_per_passage =
       static_cast<double>(out.world.mem->ledger().total_rmrs()) /
       static_cast<double>(opt.nprocs * opt.passages);
   return out;
+}
+
+ExploreBuilder signaling_explore_builder(const std::string& model,
+                                         SignalingFactory factory,
+                                         int waiters, int polls) {
+  const int nprocs = waiters + 1;
+  make_model_by_name(model, nprocs);
+  return [=]() {
+    ExploreInstance inst;
+    inst.mem = make_model_by_name(model, nprocs);
+    std::shared_ptr<SignalingAlgorithm> alg{factory(*inst.mem)};
+    std::vector<Program> programs;
+    for (int i = 0; i < waiters; ++i) {
+      programs.emplace_back([a = alg.get(), polls](ProcCtx& ctx) {
+        return polling_waiter(ctx, a, polls);
+      });
+    }
+    programs.emplace_back(
+        [a = alg.get()](ProcCtx& ctx) { return signaler(ctx, a); });
+    inst.sim = std::make_unique<Simulation>(*inst.mem, std::move(programs));
+    inst.keepalive = alg;
+    return inst;
+  };
+}
+
+ExploreBuilder mutex_explore_builder(const std::string& model,
+                                     LockFactory factory, int nprocs,
+                                     int passages) {
+  make_model_by_name(model, nprocs);
+  MutexRunOptions opt;
+  opt.model = model;
+  opt.nprocs = nprocs;
+  opt.passages = passages;
+  opt.make_lock = std::move(factory);
+  return [opt]() {
+    MutexWorld w = build_mutex_world(opt);
+    ExploreInstance inst;
+    inst.mem = std::move(w.mem);
+    inst.sim = std::move(w.sim);
+    inst.keepalive = std::move(w.lock);
+    return inst;
+  };
+}
+
+ExploreChecker polling_spec_checker() {
+  return [](const History& h) -> std::optional<std::string> {
+    if (const auto v = check_polling_spec(h)) return v->what;
+    return std::nullopt;
+  };
+}
+
+ExploreChecker mutual_exclusion_checker() {
+  return [](const History& h) -> std::optional<std::string> {
+    if (const auto v = check_mutual_exclusion(h)) return v->what;
+    return std::nullopt;
+  };
 }
 
 std::optional<SpecViolation> publish_signaling_run(MetricsRegistry& reg,

@@ -2,11 +2,13 @@
 //
 // One copy of the glue the CLI commands and the experiment registry would
 // otherwise each re-implement: name → model/algorithm/lock construction,
-// recoverable-aware mutex program wiring, the build/run loop for mutex
-// workloads, and the publishers that say what a run measured. The CLI and
-// the sweep experiments use the same factories and publishers, so a
-// SweepPoint's strings mean what the CLI flags mean and a CLI metric row is
-// the sweep point's metric of the same name.
+// recoverable-aware mutex world wiring, the build/run loop for mutex
+// workloads, the explore worlds and checkers of `rmrsim_cli explore`, and
+// the publishers that say what a run measured. The CLI and the sweep
+// experiments use the same factories and publishers, so a SweepPoint's
+// strings mean what the CLI flags mean and a CLI metric row is the sweep
+// point's metric of the same name; the model-checking tests build their
+// worlds here too, so they check the world the CLI checks.
 #pragma once
 
 #include <cstdint>
@@ -21,6 +23,7 @@
 #include "mutex/lock.h"
 #include "signaling/checker.h"
 #include "signaling/workload.h"
+#include "verify/explorer.h"
 
 namespace rmrsim {
 
@@ -54,14 +57,6 @@ using LockFactory =
 /// worker threads start).
 LockFactory lock_factory_by_name(const std::string& name);
 
-/// N workers over one lock; recoverable locks get the crash-restartable
-/// worker (progress counters live in shared memory so a recovered program
-/// resumes where its done-counter says), plain locks the classic worker —
-/// which may wedge under a fault plan, and that contrast is the point.
-std::vector<Program> make_mutex_programs(
-    SharedMemory& mem, const std::shared_ptr<MutexAlgorithm>& lock,
-    int passages);
-
 struct MutexRunOptions {
   std::string model = "dsm";
   int nprocs = 8;
@@ -84,23 +79,59 @@ struct MutexWorld {
   std::unique_ptr<SharedMemory> mem;
   std::shared_ptr<MutexAlgorithm> lock;
   std::unique_ptr<Simulation> sim;
+  /// Per-process done counters of a recoverable lock; empty otherwise.
+  std::vector<VarId> done;
 };
 
 /// Memory + lock + wired simulation, not yet run — for callers that steer
 /// the schedule by hand first (crash-in-CS positioning, targeted traces).
+/// N workers over one lock: a recoverable lock gets the crash-restartable
+/// worker (progress counters live in shared memory, allocated after
+/// everything the lock allocated, so a recovered program resumes where its
+/// done counter says), a plain lock the classic worker — which may wedge
+/// under a fault plan, and that contrast is the point.
 MutexWorld build_mutex_world(const MutexRunOptions& opt);
 
 struct MutexRunOutcome {
   MutexWorld world;
   bool completed = false;
   std::optional<MutexViolation> violation;
-  int passages_done = 0;        ///< summed over processes
+  /// Summed over processes: the final done counters for a recoverable lock
+  /// (a crash between a passage's done increment and its kCritical end
+  /// leaves the passage counted but unrecorded), else the kCritical ends.
+  int passages_done = 0;
   double rmrs_per_passage = 0;  ///< total RMRs / (nprocs * passages)
 };
 
 /// Builds a world, runs it under the scheduler/fault plan the options
 /// select, and checks mutual exclusion.
 MutexRunOutcome run_mutex_workload(const MutexRunOptions& opt);
+
+/// Explore world for `rmrsim_cli explore --target signal`: `waiters`
+/// polling waiters (processes 0..waiters-1, each making up to `polls`
+/// polls) and one signaler (process `waiters`) over a fresh `model` memory.
+/// The memory comes first, then the algorithm, so every VarId — and so
+/// every explore result — is a function of the arguments alone. `model` is
+/// validated here, before any worker calls the builder.
+ExploreBuilder signaling_explore_builder(const std::string& model,
+                                         SignalingFactory factory,
+                                         int waiters, int polls);
+
+/// Explore world for `rmrsim_cli explore --target mutex`: build_mutex_world
+/// of `nprocs` workers making `passages` passages each — memory, then lock,
+/// then (for a recoverable lock) the done counters. `model` is validated
+/// here.
+ExploreBuilder mutex_explore_builder(const std::string& model,
+                                     LockFactory factory, int nprocs,
+                                     int passages);
+
+/// The polling form of Specification 4.1; a violation's description is the
+/// explorer's verdict message.
+ExploreChecker polling_spec_checker();
+
+/// Mutual exclusion (check_mutual_exclusion); crash-aware, so it also
+/// serves the crash sweeps of recoverable locks.
+ExploreChecker mutual_exclusion_checker();
 
 /// What a signaling run measured: the simulation, its per-call costs,
 /// rmrs.max_waiter / rmrs.signaler / rmrs.amortized, and spec.ok against

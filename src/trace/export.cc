@@ -52,11 +52,12 @@ const char* event_name(EventKind e) {
 
 }  // namespace
 
-std::string history_to_csv(const History& h) {
-  std::string out =
-      "index,proc,kind,op,var,home,arg0,arg1,result,rmr,nontrivial,event,"
-      "code,value,terminated\n";
+void write_history_csv(std::ostream& os, const History& h) {
+  os << "index,proc,kind,op,var,home,arg0,arg1,result,rmr,nontrivial,event,"
+        "code,value,terminated\n";
+  std::string out;
   for (const StepRecord& r : h.records()) {
+    out.clear();
     out += std::to_string(r.index) + ',' + std::to_string(r.proc) + ',';
     out += kind_name(r);
     out += ',';
@@ -73,13 +74,14 @@ std::string history_to_csv(const History& h) {
       out += ',' + std::to_string(r.code) + ',' + std::to_string(r.value);
     }
     out += r.terminated_after ? ",1\n" : ",0\n";
+    os.write(out.data(), static_cast<std::streamsize>(out.size()));
   }
-  return out;
 }
 
-std::string history_to_json_lines(const History& h) {
+void write_history_json_lines(std::ostream& os, const History& h) {
   std::string out;
   for (const StepRecord& r : h.records()) {
+    out.clear();
     out += "{\"index\":" + std::to_string(r.index) +
            ",\"proc\":" + std::to_string(r.proc) + ",\"kind\":\"" +
            json_escape(kind_name(r)) + "\"";
@@ -101,8 +103,8 @@ std::string history_to_json_lines(const History& h) {
     out += ",\"terminated\":";
     out += r.terminated_after ? "true" : "false";
     out += "}\n";
+    os.write(out.data(), static_cast<std::streamsize>(out.size()));
   }
-  return out;
 }
 
 std::string history_timeline(const History& h, int max_cols) {

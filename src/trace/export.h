@@ -8,6 +8,7 @@
 // adversary by hand.
 #pragma once
 
+#include <ostream>
 #include <string>
 #include <string_view>
 
@@ -24,12 +25,15 @@ namespace rmrsim {
 std::string json_escape(std::string_view s);
 
 /// CSV with header: index,proc,kind,op,var,home,arg0,arg1,result,rmr,
-/// nontrivial,event,code,value,terminated.
-std::string history_to_csv(const History& h);
+/// nontrivial,event,code,value,terminated. Each row is written to `os` as
+/// soon as it is formatted, so the dump costs one row of memory, not the
+/// whole trace.
+void write_history_csv(std::ostream& os, const History& h);
 
 /// JSON lines, one object per record (no external dependencies; fields
-/// mirror the CSV). All string fields pass through json_escape.
-std::string history_to_json_lines(const History& h);
+/// mirror the CSV), written row by row as write_history_csv is. All string
+/// fields pass through json_escape.
+void write_history_json_lines(std::ostream& os, const History& h);
 
 /// ASCII timeline: one lane per process, one column per step.
 ///   R = local read   W = local write  other local ops = o

@@ -23,11 +23,7 @@
 #include "common/codec.h"
 #include "common/crc32.h"
 #include "common/fsio.h"
-#include "explore_fixtures.h"
-#include "memory/shared_memory.h"
-#include "signaling/algorithm.h"
-#include "signaling/broken.h"
-#include "signaling/dsm_registration.h"
+#include "harness/drive.h"
 #include "verify/checkpoint.h"
 #include "verify/dpor.h"
 #include "verify/explorer.h"
@@ -36,25 +32,6 @@ namespace rmrsim {
 namespace {
 
 namespace fs = std::filesystem;
-
-template <typename Alg, typename... Args>
-ExploreBuilder signaling_builder(int n_waiters, int polls, Args... args) {
-  return [=]() {
-    ExploreInstance inst;
-    inst.mem = make_dsm(n_waiters + 1);
-    auto alg = std::make_shared<Alg>(*inst.mem, args...);
-    std::vector<Program> programs;
-    SignalingAlgorithm* a = alg.get();
-    for (int i = 0; i < n_waiters; ++i) {
-      programs.emplace_back(
-          [a, polls](ProcCtx& ctx) { return polling_waiter(ctx, a, polls); });
-    }
-    programs.emplace_back([a](ProcCtx& ctx) { return signaler(ctx, a); });
-    inst.sim = std::make_unique<Simulation>(*inst.mem, std::move(programs));
-    inst.keepalive = alg;
-    return inst;
-  };
-}
 
 /// Everything the determinism contract covers. The four recovery counters
 /// are deliberately absent: they describe how the run was executed, not
@@ -305,11 +282,15 @@ std::vector<SearchCase> search_cases() {
       opt.trunk_depth = 4;
       opt.snapshot_mode = mode;
       SearchCase healthy{
-          "healthy", signaling_builder<DsmRegistrationSignal>(2, 1, ProcId{2}),
-          polling_checker(), opt};
+          "healthy",
+          signaling_explore_builder(
+              "dsm", make_signal_factory_by_name("registration", 2), 2, 1),
+          polling_spec_checker(), opt};
       SearchCase broken{
-          "broken", signaling_builder<BrokenLocalSignal>(1, 2),
-          polling_checker(), opt};
+          "broken",
+          signaling_explore_builder(
+              "dsm", make_signal_factory_by_name("broken", 1), 1, 2),
+          polling_spec_checker(), opt};
       broken.opt.max_depth = 16;
       cases.push_back(std::move(healthy));
       cases.push_back(std::move(broken));
@@ -360,60 +341,69 @@ TEST(CheckpointSearch, SigkillMidSearchThenResumeMatchesReference) {
   // The real crash: fork a child that runs the checkpointed search and
   // SIGKILLs itself the moment the first epoch is durable. The parent then
   // resumes from whatever the dead child left on disk and must reproduce
-  // the uninterrupted reference exactly.
-  const auto build = signaling_builder<DsmRegistrationSignal>(2, 1, ProcId{2});
-  const auto check = polling_checker();
-  DporOptions base;
-  base.max_depth = 14;
-  base.trunk_depth = 4;
-  const ExploreResult ref = explore_dpor(build, check, base);
-  ASSERT_TRUE(ref.exhausted);
-  ASSERT_GT(ref.stats.work_items, 4u) << "need enough items to die mid-run";
+  // the uninterrupted reference exactly — in both reconstruction modes.
+  const auto build = signaling_explore_builder(
+      "dsm", make_signal_factory_by_name("registration", 2), 2, 1);
+  const auto check = polling_spec_checker();
+  for (const SnapshotMode mode :
+       {SnapshotMode::kReplay, SnapshotMode::kSnapshot}) {
+    const std::string mode_name =
+        mode == SnapshotMode::kReplay ? "replay" : "snapshot";
+    SCOPED_TRACE(mode_name);
+    DporOptions base;
+    base.max_depth = 14;
+    base.trunk_depth = 4;
+    base.snapshot_mode = mode;
+    const ExploreResult ref = explore_dpor(build, check, base);
+    ASSERT_TRUE(ref.exhausted);
+    ASSERT_GT(ref.stats.work_items, 4u) << "need enough items to die mid-run";
 
-  TempDir dir("sigkill");
-  ExploreCheckpoint::Config cfg;
-  cfg.dir = dir.path;
-  cfg.fingerprint = 7;
-  cfg.flush_interval = 2;
+    TempDir dir("sigkill-" + mode_name);
+    ExploreCheckpoint::Config cfg;
+    cfg.dir = dir.path;
+    cfg.fingerprint = 7;
+    cfg.flush_interval = 2;
 
-  const pid_t pid = fork();
-  ASSERT_GE(pid, 0);
-  if (pid == 0) {
-    // Child: die by SIGKILL — not exit() — once epoch 2 is on disk, so the
-    // search is genuinely cut off mid-flight with no destructors run.
-    ExploreCheckpoint::Config child_cfg = cfg;
-    child_cfg.on_epoch_written = [](std::uint64_t epoch) {
-      if (epoch >= 2) raise(SIGKILL);
-    };
-    ExploreCheckpoint ck(child_cfg);
-    ck.reset();
+    const pid_t pid = fork();
+    ASSERT_GE(pid, 0);
+    if (pid == 0) {
+      // Child: die by SIGKILL — not exit() — once epoch 2 is on disk, so
+      // the search is genuinely cut off mid-flight with no destructors run.
+      ExploreCheckpoint::Config child_cfg = cfg;
+      child_cfg.on_epoch_written = [](std::uint64_t epoch) {
+        if (epoch >= 2) raise(SIGKILL);
+      };
+      ExploreCheckpoint ck(child_cfg);
+      ck.reset();
+      DporOptions opt = base;
+      opt.checkpoint = &ck;
+      (void)explore_dpor(build, check, opt);
+      _exit(0);  // only reached if the search somehow finished early
+    }
+    int status = 0;
+    ASSERT_EQ(waitpid(pid, &status, 0), pid);
+    ASSERT_TRUE(WIFSIGNALED(status) && WTERMSIG(status) == SIGKILL)
+        << "child was supposed to die mid-search";
+
+    ExploreCheckpoint ck(cfg);
+    const auto rep = ck.load_latest();
+    EXPECT_GT(rep.outcomes, 0u) << "the dead child left durable progress";
+    EXPECT_LT(rep.outcomes, ref.stats.work_items) << "...but not all of it";
     DporOptions opt = base;
     opt.checkpoint = &ck;
-    (void)explore_dpor(build, check, opt);
-    _exit(0);  // only reached if the search somehow finished early
+    const ExploreResult resumed = explore_dpor(build, check, opt);
+    expect_results_identical(ref, resumed);
+    EXPECT_EQ(resumed.stats.checkpoint_item_hits, rep.outcomes);
   }
-  int status = 0;
-  ASSERT_EQ(waitpid(pid, &status, 0), pid);
-  ASSERT_TRUE(WIFSIGNALED(status) && WTERMSIG(status) == SIGKILL)
-      << "child was supposed to die mid-search";
-
-  ExploreCheckpoint ck(cfg);
-  const auto rep = ck.load_latest();
-  EXPECT_GT(rep.outcomes, 0u) << "the dead child left durable progress";
-  EXPECT_LT(rep.outcomes, ref.stats.work_items) << "...but not all of it";
-  DporOptions opt = base;
-  opt.checkpoint = &ck;
-  const ExploreResult resumed = explore_dpor(build, check, opt);
-  expect_results_identical(ref, resumed);
-  EXPECT_EQ(resumed.stats.checkpoint_item_hits, rep.outcomes);
 }
 
 TEST(CheckpointSearch, BudgetTruncatedItemsAreNeverCheckpointed) {
   // A search cut short by max_nodes writes no partial item outcomes: a
   // resume with the full budget re-explores from scratch and matches a
   // fresh unlimited run (a recorded partial outcome would poison it).
-  const auto build = signaling_builder<DsmRegistrationSignal>(2, 1, ProcId{2});
-  const auto check = polling_checker();
+  const auto build = signaling_explore_builder(
+      "dsm", make_signal_factory_by_name("registration", 2), 2, 1);
+  const auto check = polling_spec_checker();
   DporOptions base;
   base.max_depth = 14;
   base.trunk_depth = 4;
@@ -446,8 +436,9 @@ TEST(CheckpointSearch, BudgetTruncatedItemsAreNeverCheckpointed) {
 }
 
 TEST(WorkerFailure, TransientFailuresRetryWithoutChangingTheVerdict) {
-  const auto build = signaling_builder<DsmRegistrationSignal>(2, 1, ProcId{2});
-  const auto check = polling_checker();
+  const auto build = signaling_explore_builder(
+      "dsm", make_signal_factory_by_name("registration", 2), 2, 1);
+  const auto check = polling_spec_checker();
   DporOptions base;
   base.max_depth = 14;
   base.trunk_depth = 4;
@@ -471,8 +462,9 @@ TEST(WorkerFailure, TransientFailuresRetryWithoutChangingTheVerdict) {
 }
 
 TEST(WorkerFailure, PermanentFailureQuarantinesAndPersistsAcrossResume) {
-  const auto build = signaling_builder<DsmRegistrationSignal>(2, 1, ProcId{2});
-  const auto check = polling_checker();
+  const auto build = signaling_explore_builder(
+      "dsm", make_signal_factory_by_name("registration", 2), 2, 1);
+  const auto check = polling_spec_checker();
   DporOptions base;
   base.max_depth = 14;
   base.trunk_depth = 4;
@@ -525,8 +517,9 @@ TEST(WorkerFailure, PerAttemptNodeDeadlineQuarantinesRunawayItems) {
   // item_node_limit models a worker that wedges: an item that cannot finish
   // within the per-attempt budget fails every attempt and is quarantined —
   // the search survives, reports it, and completes everything else.
-  const auto build = signaling_builder<DsmRegistrationSignal>(2, 1, ProcId{2});
-  const auto check = polling_checker();
+  const auto build = signaling_explore_builder(
+      "dsm", make_signal_factory_by_name("registration", 2), 2, 1);
+  const auto check = polling_spec_checker();
   DporOptions opt;
   opt.max_depth = 14;
   opt.trunk_depth = 4;

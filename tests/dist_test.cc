@@ -24,14 +24,12 @@
 #include <vector>
 
 #include "common/codec.h"
-#include "explore_fixtures.h"
+#include "harness/drive.h"
 #include "history/history.h"
 #include "memory/cc_model.h"
 #include "memory/shared_memory.h"
 #include "runtime/simulation.h"
 #include "runtime/snapshot_codec.h"
-#include "signaling/algorithm.h"
-#include "signaling/dsm_registration.h"
 #include "verify/checkpoint.h"
 #include "verify/dist/protocol.h"
 #include "verify/dpor.h"
@@ -40,25 +38,6 @@
 
 namespace rmrsim {
 namespace {
-
-ExploreBuilder signaling_builder(int n_waiters, int polls) {
-  return [=]() {
-    ExploreInstance inst;
-    inst.mem = make_dsm(n_waiters + 1);
-    auto alg = std::make_shared<DsmRegistrationSignal>(
-        *inst.mem, static_cast<ProcId>(n_waiters));
-    std::vector<Program> programs;
-    SignalingAlgorithm* a = alg.get();
-    for (int i = 0; i < n_waiters; ++i) {
-      programs.emplace_back(
-          [a, polls](ProcCtx& ctx) { return polling_waiter(ctx, a, polls); });
-    }
-    programs.emplace_back([a](ProcCtx& ctx) { return signaler(ctx, a); });
-    inst.sim = std::make_unique<Simulation>(*inst.mem, std::move(programs));
-    inst.keepalive = alg;
-    return inst;
-  };
-}
 
 std::shared_ptr<const WorldSnapshot> snapshot_after(
     const ExploreBuilder& build, const std::vector<ProcId>& schedule) {
@@ -71,7 +50,8 @@ std::shared_ptr<const WorldSnapshot> snapshot_after(
 // ---- fingerprint ------------------------------------------------------
 
 TEST(Fingerprint, StableAcrossForkRestoreRoundTrips) {
-  const ExploreBuilder build = signaling_builder(2, 1);
+  const ExploreBuilder build = signaling_explore_builder(
+      "dsm", make_signal_factory_by_name("registration", 2), 2, 1);
   const auto snap = snapshot_after(build, {0, 1, 2});
   const std::uint64_t fp = snap->fingerprint();
   EXPECT_EQ(fp, snap->fingerprint()) << "fingerprint must be pure";
@@ -90,7 +70,8 @@ TEST(Fingerprint, StableAcrossForkRestoreRoundTrips) {
 }
 
 TEST(Fingerprint, DistinguishesStatesAndIgnoresHowTheyWereReached) {
-  const ExploreBuilder build = signaling_builder(2, 1);
+  const ExploreBuilder build = signaling_explore_builder(
+      "dsm", make_signal_factory_by_name("registration", 2), 2, 1);
   const auto before = snapshot_after(build, {});
   const auto after = snapshot_after(build, {0});
   EXPECT_NE(before->fingerprint(), after->fingerprint())
@@ -113,7 +94,8 @@ TEST(Fingerprint, DistinguishesStatesAndIgnoresHowTheyWereReached) {
 // ---- snapshot wire codec ---------------------------------------------
 
 TEST(SnapshotWireCodec, CanonicalRoundTrip) {
-  const ExploreBuilder build = signaling_builder(2, 1);
+  const ExploreBuilder build = signaling_explore_builder(
+      "dsm", make_signal_factory_by_name("registration", 2), 2, 1);
   const auto snap = snapshot_after(build, {0, 2, 1});
   const auto proto = snapshot_after(build, {});
 
@@ -133,7 +115,8 @@ TEST(SnapshotWireCodec, CanonicalRoundTrip) {
 }
 
 TEST(SnapshotWireCodec, RejectsTruncationAndStructuralMismatch) {
-  const ExploreBuilder build = signaling_builder(2, 1);
+  const ExploreBuilder build = signaling_explore_builder(
+      "dsm", make_signal_factory_by_name("registration", 2), 2, 1);
   const auto snap = snapshot_after(build, {0});
   const auto proto = snapshot_after(build, {});
   const std::string wire = encode_world_snapshot(*snap);
@@ -151,7 +134,10 @@ TEST(SnapshotWireCodec, RejectsTruncationAndStructuralMismatch) {
   // A proto of a structurally different instance (different store layout /
   // process count) must be refused: grafting immutables across instance
   // shapes would explore a subtly different world.
-  const auto other_proto = snapshot_after(signaling_builder(3, 1), {});
+  const auto other_proto = snapshot_after(
+      signaling_explore_builder(
+          "dsm", make_signal_factory_by_name("registration", 3), 3, 1),
+      {});
   EXPECT_THROW(decode_world_snapshot(wire, *other_proto), std::exception);
 }
 
@@ -318,7 +304,8 @@ TEST(DecoderBounds, HugeCountsAreNamedErrorsNotAllocations) {
   // The snapshot ends with the fault trace and the per-process states, so
   // their offsets follow from the encoded sizes of those tail sections.
   {
-    const ExploreBuilder build = signaling_builder(2, 1);
+    const ExploreBuilder build = signaling_explore_builder(
+        "dsm", make_signal_factory_by_name("registration", 2), 2, 1);
     const auto snap = snapshot_after(build, {0, 2});
     const auto proto = snapshot_after(build, {});
     const std::string wire = encode_world_snapshot(*snap);
@@ -442,8 +429,9 @@ void expect_same_result(const ExploreResult& a, const ExploreResult& b) {
 }
 
 TEST(DistExecutor, LoopbackMergesByteIdenticalToInProcess) {
-  const ExploreBuilder build = signaling_builder(2, 1);
-  const ExploreChecker check = polling_checker();
+  const ExploreBuilder build = signaling_explore_builder(
+      "dsm", make_signal_factory_by_name("registration", 2), 2, 1);
+  const ExploreChecker check = polling_spec_checker();
   DporOptions opt;
   opt.max_depth = 14;
 
@@ -459,8 +447,9 @@ TEST(DistExecutor, LoopbackMergesByteIdenticalToInProcess) {
 }
 
 TEST(DistExecutor, LoopbackMatchesInReplayModeToo) {
-  const ExploreBuilder build = signaling_builder(2, 1);
-  const ExploreChecker check = polling_checker();
+  const ExploreBuilder build = signaling_explore_builder(
+      "dsm", make_signal_factory_by_name("registration", 2), 2, 1);
+  const ExploreChecker check = polling_spec_checker();
   DporOptions opt;
   opt.max_depth = 14;
   opt.snapshot_mode = SnapshotMode::kReplay;

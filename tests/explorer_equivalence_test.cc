@@ -16,99 +16,16 @@
 #include <vector>
 
 #include "explore_fixtures.h"
-#include "memory/cc_model.h"
-#include "memory/shared_memory.h"
 #include "mutex/mcs_lock.h"
 #include "mutex/simple_locks.h"
-#include "signaling/broken.h"
-#include "signaling/cc_flag.h"
-#include "signaling/dsm_registration.h"
-#include "signaling/dsm_single_waiter.h"
 #include "verify/dpor.h"
 #include "verify/explorer.h"
 
 namespace rmrsim {
 namespace {
 
-// All builders here are thread-safe by construction: every call builds a
+// Every builder here is thread-safe by construction: each call builds a
 // fresh world and writes no shared state (required for workers > 1).
-template <typename Alg, typename... Args>
-ExploreBuilder signaling_builder(bool cc, int n_waiters, int polls,
-                                 Args... args) {
-  return [=]() {
-    ExploreInstance inst;
-    inst.mem = cc ? make_cc(n_waiters + 1) : make_dsm(n_waiters + 1);
-    auto alg = std::make_shared<Alg>(*inst.mem, args...);
-    std::vector<Program> programs;
-    SignalingAlgorithm* a = alg.get();
-    for (int i = 0; i < n_waiters; ++i) {
-      programs.emplace_back(
-          [a, polls](ProcCtx& ctx) { return polling_waiter(ctx, a, polls); });
-    }
-    programs.emplace_back([a](ProcCtx& ctx) { return signaler(ctx, a); });
-    inst.sim = std::make_unique<Simulation>(*inst.mem, std::move(programs));
-    inst.keepalive = alg;
-    return inst;
-  };
-}
-
-// The occupancy-gauge mutex harness from explorer_test, with the gauge id
-// precomputed instead of written through an out-parameter during build()
-// (variable ids are allocation-ordered and the gauge is allocated first, so
-// it is always VarId 0 — this keeps build() write-free and thread-safe).
-constexpr VarId kGauge = 0;
-
-ProcTask gauge_mutex_worker(ProcCtx& ctx, MutexAlgorithm* lock, VarId gauge,
-                            int passages) {
-  for (int i = 0; i < passages; ++i) {
-    co_await lock->acquire(ctx);
-    co_await ctx.faa(gauge, 1);
-    co_await ctx.faa(gauge, -1);
-    co_await lock->release(ctx);
-  }
-}
-
-template <typename Lock>
-ExploreBuilder gauge_mutex_builder(int nprocs, int passages) {
-  return [=]() {
-    ExploreInstance inst;
-    inst.mem = make_dsm(nprocs);
-    const VarId gauge = inst.mem->allocate_global(0, "cs-gauge");
-    EXPECT_EQ(gauge, kGauge);
-    auto lock = std::make_shared<Lock>(*inst.mem);
-    std::vector<Program> programs;
-    MutexAlgorithm* l = lock.get();
-    for (int i = 0; i < nprocs; ++i) {
-      programs.emplace_back([l, gauge, passages](ProcCtx& ctx) {
-        return gauge_mutex_worker(ctx, l, gauge, passages);
-      });
-    }
-    inst.sim = std::make_unique<Simulation>(*inst.mem, std::move(programs));
-    inst.keepalive = lock;
-    return inst;
-  };
-}
-
-ExploreChecker gauge_checker() {
-  return [](const History& h) -> std::optional<std::string> {
-    for (const StepRecord& r : h.records()) {
-      if (r.kind == StepRecord::Kind::kMemOp && r.op.type == OpType::kFaa &&
-          r.op.var == kGauge && r.op.arg0 == 1 && r.outcome.result != 0) {
-        return "two processes inside the critical section (gauge=" +
-               std::to_string(r.outcome.result + 1) + ")";
-      }
-    }
-    return std::nullopt;
-  };
-}
-
-class NoLock final : public MutexAlgorithm {
- public:
-  explicit NoLock(SharedMemory&) {}
-  SubTask<void> acquire(ProcCtx& ctx) override { co_await ctx.mark(0); }
-  SubTask<void> release(ProcCtx& ctx) override { co_await ctx.mark(1); }
-  std::string_view name() const override { return "no-lock"; }
-};
 
 // Runs both explorers and checks verdict equivalence. Returns the pair for
 // further assertions.
@@ -140,8 +57,9 @@ Verdicts expect_same_verdict(const ExploreBuilder& build,
 TEST(ExplorerEquivalence, CcFlagBothModels) {
   for (const bool cc : {true, false}) {
     const Verdicts v = expect_same_verdict(
-        signaling_builder<CcFlagSignal>(cc, 2, 2), polling_checker(), 16,
-        500'000);
+        signaling_explore_builder(
+            cc ? "cc" : "dsm", make_signal_factory_by_name("flag", 2), 2, 2),
+        polling_spec_checker(), 16, 500'000);
     EXPECT_FALSE(v.dpor.violation.has_value());
     EXPECT_TRUE(v.naive.exhausted);
     EXPECT_TRUE(v.dpor.exhausted);
@@ -151,24 +69,27 @@ TEST(ExplorerEquivalence, CcFlagBothModels) {
 
 TEST(ExplorerEquivalence, RegistrationOneWaiter) {
   const Verdicts v = expect_same_verdict(
-      signaling_builder<DsmRegistrationSignal>(false, 1, 2, ProcId{1}),
-      polling_checker(), 24, 500'000);
+      signaling_explore_builder(
+          "dsm", make_signal_factory_by_name("registration", 1), 1, 2),
+      polling_spec_checker(), 24, 500'000);
   EXPECT_FALSE(v.dpor.violation.has_value());
   EXPECT_TRUE(v.dpor.exhausted);
 }
 
 TEST(ExplorerEquivalence, SingleWaiter) {
   const Verdicts v = expect_same_verdict(
-      signaling_builder<DsmSingleWaiterSignal>(false, 1, 3),
-      polling_checker(), 24, 500'000);
+      signaling_explore_builder(
+          "dsm", make_signal_factory_by_name("single-waiter", 1), 1, 3),
+      polling_spec_checker(), 24, 500'000);
   EXPECT_FALSE(v.dpor.violation.has_value());
   EXPECT_TRUE(v.dpor.exhausted);
 }
 
 TEST(ExplorerEquivalence, BrokenLocalViolationAgrees) {
   const Verdicts v = expect_same_verdict(
-      signaling_builder<BrokenLocalSignal>(false, 1, 1), polling_checker(),
-      16, 100'000);
+      signaling_explore_builder(
+          "dsm", make_signal_factory_by_name("broken", 1), 1, 1),
+      polling_spec_checker(), 16, 100'000);
   ASSERT_TRUE(v.dpor.violation.has_value());
   EXPECT_FALSE(v.dpor.violating_schedule.empty());
 }
@@ -203,12 +124,14 @@ TEST(ExplorerEquivalence, DporVisitsTenfoldFewerNodes) {
   // A config both explorers exhaust: the reduction must pay for itself.
   // (Two waiters: with three processes the commuting pairs multiply and the
   // reduction clears 10x; the 2-process config manages only ~7x.)
-  const auto build =
-      signaling_builder<DsmRegistrationSignal>(false, 2, 1, ProcId{2});
+  const auto build = signaling_explore_builder(
+      "dsm", make_signal_factory_by_name("registration", 2), 2, 1);
   const auto naive = explore_all_schedules(
-      build, polling_checker(), {.max_depth = 24, .max_nodes = 10'000'000});
+      build, polling_spec_checker(),
+      {.max_depth = 24, .max_nodes = 10'000'000});
   const auto dpor = explore_dpor(
-      build, polling_checker(), {.max_depth = 24, .max_nodes = 10'000'000});
+      build, polling_spec_checker(),
+      {.max_depth = 24, .max_nodes = 10'000'000});
   ASSERT_TRUE(naive.exhausted);
   ASSERT_TRUE(dpor.exhausted);
   EXPECT_FALSE(dpor.violation.has_value());
@@ -221,15 +144,15 @@ TEST(ExplorerEquivalence, DporVisitsTenfoldFewerNodes) {
 TEST(ExplorerEquivalence, DporExhaustsWhereNaiveCannot) {
   // Three waiters + signaler (4 processes): the naive tree dwarfs a 2M-node
   // budget, the reduced one fits with room to spare.
-  const auto build =
-      signaling_builder<DsmRegistrationSignal>(false, 3, 1, ProcId{3});
+  const auto build = signaling_explore_builder(
+      "dsm", make_signal_factory_by_name("registration", 3), 3, 1);
   const auto naive = explore_all_schedules(
-      build, polling_checker(), {.max_depth = 28, .max_nodes = 2'000'000});
+      build, polling_spec_checker(), {.max_depth = 28, .max_nodes = 2'000'000});
   EXPECT_FALSE(naive.exhausted)
       << "naive explorer unexpectedly exhausted the 4-process tree in "
       << naive.nodes_visited << " nodes — deepen the config";
   const auto dpor = explore_dpor(
-      build, polling_checker(), {.max_depth = 28, .max_nodes = 2'000'000});
+      build, polling_spec_checker(), {.max_depth = 28, .max_nodes = 2'000'000});
   EXPECT_TRUE(dpor.exhausted)
       << "DPOR tripped the same node budget: " << dpor.nodes_visited;
   EXPECT_FALSE(dpor.violation.has_value());
@@ -268,8 +191,9 @@ void expect_worker_invariance(const ExploreBuilder& build,
 
 TEST(ExplorerEquivalence, WorkersAgreeOnCleanConfig) {
   expect_worker_invariance(
-      signaling_builder<DsmRegistrationSignal>(false, 2, 1, ProcId{2}),
-      polling_checker(), {.max_depth = 24, .max_nodes = 10'000'000});
+      signaling_explore_builder(
+          "dsm", make_signal_factory_by_name("registration", 2), 2, 1),
+      polling_spec_checker(), {.max_depth = 24, .max_nodes = 10'000'000});
 }
 
 TEST(ExplorerEquivalence, WorkersAgreeOnViolatingConfig) {

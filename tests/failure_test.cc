@@ -10,6 +10,7 @@
 #include <memory>
 #include <string>
 
+#include "harness/drive.h"
 #include "memory/cc_model.h"
 #include "memory/shared_memory.h"
 #include "mutex/lock.h"
@@ -327,44 +328,13 @@ TEST(CrashRecovery, RecoverableLockCompletesDespiteCrashInCriticalSection) {
   }
 }
 
-/// Fresh-world builder for crash sweeps over a recoverable-lock config.
-ExploreBuilder recoverable_lock_builder(int nprocs, int passages) {
-  return [=]() {
-    ExploreInstance inst;
-    auto mem = make_dsm(nprocs);
-    auto lock = std::make_shared<RecoverableSpinLock>(*mem);
-    std::vector<VarId> done;
-    for (int p = 0; p < nprocs; ++p) {
-      done.push_back(mem->allocate_global(0, "done"));
-    }
-    std::vector<Program> programs;
-    for (int p = 0; p < nprocs; ++p) {
-      programs.emplace_back([lock, dv = done[p], passages](ProcCtx& ctx) {
-        return recoverable_mutex_worker(ctx, lock.get(), dv, passages);
-      });
-    }
-    inst.sim = std::make_unique<Simulation>(*mem, std::move(programs));
-    inst.keepalive = lock;
-    inst.mem = std::move(mem);
-    return inst;
-  };
-}
-
-ExploreChecker mutual_exclusion_checker() {
-  return [](const History& h) -> std::optional<std::string> {
-    if (const auto v = check_mutual_exclusion(h); v.has_value()) {
-      return v->what;
-    }
-    return std::nullopt;
-  };
-}
-
 TEST(CrashRecovery, RecoverableLockSurvivesEveryCrashPoint) {
   // Exhaustive: crash proc 0 at every step of a 3-proc recoverable-lock
   // run; mutual exclusion must hold at every crash point and every run must
   // complete. (FIFO is *not* asserted — crashes legitimately reorder
   // waiters; analyze_crash_run reports inversions instead.)
-  const auto build = recoverable_lock_builder(3, 2);
+  const auto build =
+      mutex_explore_builder("dsm", lock_factory_by_name("recoverable"), 3, 2);
   const auto check = mutual_exclusion_checker();
   const CrashSweepResult sweep = sweep_crash_points(build, check, 0);
   EXPECT_FALSE(sweep.violation.has_value())
@@ -385,7 +355,8 @@ TEST(CrashRecovery, CrashStopSweepSeparatesWedgedFromStuck) {
   // points leave the survivors spinning on the orphaned owner word forever —
   // kBudget, reported as `stuck`. A sweep that lumped these together (the
   // old fair_drive early-break did) could not make this assertion.
-  const auto build = recoverable_lock_builder(3, 2);
+  const auto build =
+      mutex_explore_builder("dsm", lock_factory_by_name("recoverable"), 3, 2);
   const auto check = mutual_exclusion_checker();
   const CrashSweepResult sweep = sweep_crash_points(
       build, check, 0,
@@ -404,7 +375,8 @@ TEST(CrashRecovery, BudgetExhaustionIsStuckNotWedged) {
   // left) and never as `wedged`. The generous-budget run above turns these
   // same crash points into completions — pinning that `stuck` really means
   // "needs more budget", not "dead".
-  const auto build = recoverable_lock_builder(3, 2);
+  const auto build =
+      mutex_explore_builder("dsm", lock_factory_by_name("recoverable"), 3, 2);
   const auto check = mutual_exclusion_checker();
   const CrashSweepResult sweep = sweep_crash_points(
       build, check, 0,

@@ -379,8 +379,10 @@ TEST(Drive, MutexWorkloadRunsCleanUnderEachScheduler) {
 }
 
 TEST(Drive, OnePassPassageCountEqualsPerProcessSum) {
-  // run_mutex_workload counts every kCritical end in one pass;
-  // passages_completed(h, p) per process is the oracle.
+  // run_mutex_workload counts kCritical ends in one pass for a plain lock
+  // and sums the done counters of a recoverable one; passages_completed(h,
+  // p) per process is the oracle for both while no crash lands between a
+  // passage's done increment and its end record (none of this seed's do).
   MutexRunOptions opt;
   opt.model = "dsm";
   opt.nprocs = 5;
@@ -407,6 +409,35 @@ TEST(Drive, OnePassPassageCountEqualsPerProcessSum) {
   ASSERT_GT(crashy.world.sim->history().crash_events(), 0u);
   EXPECT_GT(crashy.passages_done, 0);
   EXPECT_EQ(crashy.passages_done, per_process_sum(crashy));
+}
+
+// A crash between a passage's done increment and its kCritical end record
+// leaves the passage done but unrecorded: counting end records gave 17 of
+// 18 here, and rmrs.per_exit divided by 17.
+MutexRunOptions crash_after_done_config() {
+  MutexRunOptions opt;
+  opt.model = "dsm";
+  opt.nprocs = 6;
+  opt.passages = 3;
+  opt.make_lock = lock_factory_by_name("recoverable");
+  opt.fault_plan = "random:rate=0.01,seed=5,recover=50,max=16";
+  return opt;
+}
+
+TEST(Drive, CrashAfterDoneIncrementStillCountsThePassage) {
+  const MutexRunOutcome o = run_mutex_workload(crash_after_done_config());
+  ASSERT_TRUE(o.completed);
+  EXPECT_EQ(o.passages_done, 18);
+}
+
+TEST(Drive, PerExitDividesByEveryCompletedPassage) {
+  const MutexRunOutcome o = run_mutex_workload(crash_after_done_config());
+  MetricsRegistry reg;
+  publish_crash_run(reg, o);
+  EXPECT_EQ(reg.value("run.passages_done"), 18.0);
+  EXPECT_DOUBLE_EQ(
+      reg.value("rmrs.per_exit"),
+      static_cast<double>(o.world.mem->ledger().total_rmrs()) / 18.0);
 }
 
 // ---- reduced experiment runs (the CI gate, in-process) ------------------

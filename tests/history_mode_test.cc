@@ -19,7 +19,6 @@
 #include "sched/fault.h"
 #include "sched/schedulers.h"
 #include "signaling/cc_flag.h"
-#include "signaling/dsm_registration.h"
 #include "signaling/workload.h"
 #include "verify/dpor.h"
 
@@ -182,25 +181,8 @@ TEST(HistoryMode, SetModeRequiresEmptyHistory) {
 TEST(HistoryMode, DporVerdictIdenticalWithCountersOnly) {
   // The reduction's node accounting cannot depend on the recording mode
   // when the checker is counter-backed.
-  const int waiters = 2;
-  const ExploreBuilder build = [waiters]() {
-    ExploreInstance inst;
-    inst.mem = make_dsm(waiters + 1);
-    std::shared_ptr<SignalingAlgorithm> alg =
-        std::make_shared<DsmRegistrationSignal>(
-            *inst.mem, static_cast<ProcId>(waiters));
-    std::vector<Program> programs;
-    for (int i = 0; i < waiters; ++i) {
-      programs.emplace_back([a = alg.get()](ProcCtx& ctx) {
-        return polling_waiter(ctx, a, /*max_polls=*/1);
-      });
-    }
-    programs.emplace_back(
-        [a = alg.get()](ProcCtx& ctx) { return signaler(ctx, a); });
-    inst.sim = std::make_unique<Simulation>(*inst.mem, std::move(programs));
-    inst.keepalive = alg;
-    return inst;
-  };
+  const ExploreBuilder build = signaling_explore_builder(
+      "dsm", make_signal_factory_by_name("registration", 2), 2, 1);
   const ExploreChecker check =
       [](const History& h) -> std::optional<std::string> {
     if (h.total_rmrs() > 1'000'000) return "absurd RMR count";

@@ -130,26 +130,8 @@ class RacySingleWaiterSignal final : public SignalingAlgorithm {
   std::vector<VarId> registered_;
 };
 
-template <typename Alg, typename... Args>
-ExploreBuilder builder(int n_waiters, int polls, Args... args) {
-  return [=]() {
-    ExploreInstance inst;
-    inst.mem = make_dsm(n_waiters + 1);
-    auto alg = std::make_shared<Alg>(*inst.mem, args...);
-    std::vector<Program> programs;
-    SignalingAlgorithm* a = alg.get();
-    for (int i = 0; i < n_waiters; ++i) {
-      programs.emplace_back(
-          [a, polls](ProcCtx& ctx) { return polling_waiter(ctx, a, polls); });
-    }
-    programs.emplace_back([a](ProcCtx& ctx) { return signaler(ctx, a); });
-    inst.sim = std::make_unique<Simulation>(*inst.mem, std::move(programs));
-    inst.keepalive = alg;
-    return inst;
-  };
-}
-
-// Like `builder`, but each waiter gets its own poll budget.
+// signaling_explore_builder's world, but each waiter gets its own poll
+// budget.
 template <typename Alg, typename... Args>
 ExploreBuilder mixed_polls_builder(std::vector<int> waiter_polls,
                                    Args... args) {
@@ -204,13 +186,17 @@ void convict(const ExploreBuilder& build, const ExploreChecker& check,
 }
 
 TEST(Mutation, RacyRegistrationConvictedAndShrunk) {
-  convict(builder<RacyRegistrationSignal>(1, 2, ProcId{1}), polling_checker(),
+  convict(signaling_explore_builder(
+              "dsm", signal_factory<RacyRegistrationSignal>(ProcId{1}), 1, 2),
+          polling_spec_checker(),
           {.max_depth = 24, .max_nodes = 2'000'000},
           {.max_depth = 24, .max_nodes = 2'000'000});
 }
 
 TEST(Mutation, RacySingleWaiterConvictedAndShrunk) {
-  convict(builder<RacySingleWaiterSignal>(1, 2), polling_checker(),
+  convict(signaling_explore_builder(
+              "dsm", signal_factory<RacySingleWaiterSignal>(), 1, 2),
+          polling_spec_checker(),
           {.max_depth = 24, .max_nodes = 2'000'000},
           {.max_depth = 24, .max_nodes = 2'000'000});
 }
@@ -219,7 +205,9 @@ TEST(Mutation, LateFlagConvictedAndShrunk) {
   // Signal() sweeps before writing S: the waiter registers after the sweep
   // passed it, reads S = 0 (legal false), and is never delivered — its
   // second poll returns false after Signal() completed.
-  convict(builder<LateFlagSignal>(1, 2, ProcId{1}), polling_checker(),
+  convict(signaling_explore_builder(
+              "dsm", signal_factory<LateFlagSignal>(ProcId{1}), 1, 2),
+          polling_spec_checker(),
           {.max_depth = 24, .max_nodes = 2'000'000},
           {.max_depth = 24, .max_nodes = 2'000'000});
 }
@@ -234,7 +222,7 @@ TEST(Mutation, DroppedRecheckCasConvictedAndShrunk) {
   // "loser registers cleanly first" subtree it would face the other way
   // round.
   convict(mixed_polls_builder<DroppedRecheckCasSignal>({1, 2}),
-          polling_checker(), {.max_depth = 26, .max_nodes = 20'000'000},
+          polling_spec_checker(), {.max_depth = 26, .max_nodes = 20'000'000},
           {.max_depth = 26, .max_nodes = 2'000'000});
 }
 

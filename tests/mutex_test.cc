@@ -5,9 +5,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <functional>
 #include <memory>
 
+#include "explore_fixtures.h"
 #include "memory/cc_model.h"
 #include "memory/shared_memory.h"
 #include "mutex/bakery_lock.h"
@@ -20,9 +20,6 @@
 
 namespace rmrsim {
 namespace {
-
-using LockFactory =
-    std::function<std::unique_ptr<MutexAlgorithm>(SharedMemory&)>;
 
 struct LockCase {
   const char* label;
@@ -50,7 +47,7 @@ std::vector<LockCase> all_locks() {
 
 struct MutexRun {
   std::unique_ptr<SharedMemory> mem;
-  std::unique_ptr<MutexAlgorithm> lock;
+  std::shared_ptr<MutexAlgorithm> lock;
   std::unique_ptr<Simulation> sim;
 };
 
@@ -109,16 +106,9 @@ INSTANTIATE_TEST_SUITE_P(
 // Checker sharpness: a "lock" that never locks must be convicted.
 // ---------------------------------------------------------------------------
 
-class NoLock final : public MutexAlgorithm {
- public:
-  SubTask<void> acquire(ProcCtx& ctx) override { co_await ctx.mark(0); }
-  SubTask<void> release(ProcCtx& ctx) override { co_await ctx.mark(1); }
-  std::string_view name() const override { return "no-lock"; }
-};
-
 TEST(MutexChecker, ConvictsTheNoLock) {
   auto mem = make_dsm(2);
-  auto lock = std::make_unique<NoLock>();
+  auto lock = std::make_unique<NoLock>(*mem);
   std::vector<Program> programs;
   MutexAlgorithm* l = lock.get();
   for (int i = 0; i < 2; ++i) {

@@ -22,11 +22,9 @@
 #include <vector>
 
 #include "common/fsio.h"
+#include "harness/drive.h"
 #include "memory/shared_memory.h"
-#include "signaling/algorithm.h"
 #include "signaling/cc_flag.h"
-#include "signaling/checker.h"
-#include "signaling/dsm_registration.h"
 #include "signaling/workload.h"
 #include "verify/explorer.h"
 #include "workload/generators.h"
@@ -96,48 +94,24 @@ TEST(PerfGate, TraceReplayFloor) {
 
 // ---- explore reference: snapshot mode vs from-scratch replay ----------
 
-/// Registration signaling, 3 waiters x 2 polls, depth 32: deep enough that
-/// replay pays the full O(depth) cost per node, and capped so both modes
-/// visit exactly the same 500k-node tree.
-ExploreBuilder reference_builder() {
-  return [] {
-    constexpr int kWaiters = 3;
-    ExploreInstance inst;
-    inst.mem = make_dsm(kWaiters + 1);
-    auto alg = std::make_shared<DsmRegistrationSignal>(
-        *inst.mem, static_cast<ProcId>(kWaiters));
-    std::vector<Program> programs;
-    SignalingAlgorithm* a = alg.get();
-    for (int i = 0; i < kWaiters; ++i) {
-      programs.emplace_back([a](ProcCtx& ctx) {
-        return polling_waiter(ctx, a, /*max_polls=*/2);
-      });
-    }
-    programs.emplace_back([a](ProcCtx& ctx) { return signaler(ctx, a); });
-    inst.sim = std::make_unique<Simulation>(*inst.mem, std::move(programs));
-    inst.keepalive = alg;
-    return inst;
-  };
-}
-
 struct TimedExplore {
   ExploreResult result;
   double seconds = 0;
 };
 
+/// Registration signaling, 3 waiters x 2 polls, depth 32: deep enough that
+/// replay pays the full O(depth) cost per node, and capped so both modes
+/// visit exactly the same 500k-node tree.
 TimedExplore explore_reference(SnapshotMode mode) {
   ExploreOptions opt;
   opt.max_depth = 32;
   opt.max_nodes = 500'000;
   opt.snapshot_mode = mode;
-  const ExploreChecker check =
-      [](const History& h) -> std::optional<std::string> {
-    if (const auto v = check_polling_spec(h)) return v->what;
-    return std::nullopt;
-  };
+  const ExploreBuilder build = signaling_explore_builder(
+      "dsm", make_signal_factory_by_name("registration", 3), 3, 2);
   const auto t0 = std::chrono::steady_clock::now();
   TimedExplore out;
-  out.result = explore_all_schedules(reference_builder(), check, opt);
+  out.result = explore_all_schedules(build, polling_spec_checker(), opt);
   out.seconds = seconds_since(t0);
   return out;
 }

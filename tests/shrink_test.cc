@@ -8,10 +8,7 @@
 #include <string>
 #include <vector>
 
-#include "explore_fixtures.h"
-#include "memory/shared_memory.h"
-#include "signaling/algorithm.h"
-#include "signaling/broken.h"
+#include "harness/drive.h"
 #include "verify/dpor.h"
 #include "verify/explorer.h"
 #include "verify/shrink.h"
@@ -19,34 +16,20 @@
 namespace rmrsim {
 namespace {
 
-// One BrokenLocalSignal waiter (proc 0, `polls` polls) + signaler (proc 1).
-// The bug fires on ANY schedule where a completed Signal() precedes a
-// completed Poll(): the minimal witness is exactly
+// The world: signaling_explore_builder with `broken` — one BrokenLocalSignal
+// waiter (proc 0, `polls` polls) and the signaler (proc 1). The bug fires
+// on ANY schedule where a completed Signal() precedes a completed Poll():
+// the minimal witness is exactly
 //   [1, 1, 0, 0]
 // — signaler writes S, signaler terminates (flushing Signal's call-end),
 // waiter reads its flag (flushing Poll's call-begin, now after the
 // completed Signal), waiter terminates (flushing the false return).
-ExploreBuilder broken_local_builder(int polls) {
-  return [=]() {
-    ExploreInstance inst;
-    inst.mem = make_dsm(2);
-    auto alg = std::make_shared<BrokenLocalSignal>(*inst.mem);
-    std::vector<Program> programs;
-    SignalingAlgorithm* a = alg.get();
-    programs.emplace_back(
-        [a, polls](ProcCtx& ctx) { return polling_waiter(ctx, a, polls); });
-    programs.emplace_back([a](ProcCtx& ctx) { return signaler(ctx, a); });
-    inst.sim = std::make_unique<Simulation>(*inst.mem, std::move(programs));
-    inst.keepalive = alg;
-    return inst;
-  };
-}
-
 const std::vector<ProcId> kMinimalCore{1, 1, 0, 0};
 
 TEST(Shrink, KnownMinimalCoreShrinksExactly) {
-  const auto build = broken_local_builder(2);
-  const auto check = polling_checker();
+  const auto build = signaling_explore_builder(
+      "dsm", make_signal_factory_by_name("broken", 1), 1, 2);
+  const auto check = polling_spec_checker();
 
   // A noisy witness: the waiter burns a first (legal-false) poll before the
   // signaler runs; its second poll then begins after Signal() completed and
@@ -63,8 +46,9 @@ TEST(Shrink, KnownMinimalCoreShrinksExactly) {
 }
 
 TEST(Shrink, MinimalCoreIsAFixpoint) {
-  const auto build = broken_local_builder(1);
-  const auto check = polling_checker();
+  const auto build = signaling_explore_builder(
+      "dsm", make_signal_factory_by_name("broken", 1), 1, 1);
+  const auto check = polling_spec_checker();
   const auto shrunk = shrink_counterexample(build, check, kMinimalCore);
   ASSERT_TRUE(shrunk.has_value());
   EXPECT_EQ(shrunk->schedule, kMinimalCore);
@@ -79,8 +63,9 @@ TEST(Shrink, MinimalCoreIsAFixpoint) {
 }
 
 TEST(Shrink, DifferentWitnessesCanonicalizeToTheSameCore) {
-  const auto build = broken_local_builder(2);
-  const auto check = polling_checker();
+  const auto build = signaling_explore_builder(
+      "dsm", make_signal_factory_by_name("broken", 1), 1, 2);
+  const auto check = polling_spec_checker();
   const std::vector<std::vector<ProcId>> witnesses{
       {1, 1, 0, 0},
       {1, 0, 1, 0, 0},  // first poll begins mid-Signal (legal), second trips
@@ -95,8 +80,9 @@ TEST(Shrink, DifferentWitnessesCanonicalizeToTheSameCore) {
 }
 
 TEST(Shrink, NonViolatingScheduleReturnsNullopt) {
-  const auto build = broken_local_builder(1);
-  const auto check = polling_checker();
+  const auto build = signaling_explore_builder(
+      "dsm", make_signal_factory_by_name("broken", 1), 1, 1);
+  const auto check = polling_spec_checker();
   // Waiter-only steps: poll returns a legal false, nothing violates.
   EXPECT_FALSE(
       shrink_counterexample(build, check, {0, 0}).has_value());
@@ -112,8 +98,9 @@ TEST(Shrink, ResultAlwaysReproduces) {
   // shrinker returns replays to the same message. Uses the DPOR explorer's
   // violating schedule for several poll budgets (deeper trees each time).
   for (const int polls : {1, 2, 3}) {
-    const auto build = broken_local_builder(polls);
-    const auto check = polling_checker();
+    const auto build = signaling_explore_builder(
+        "dsm", make_signal_factory_by_name("broken", 1), 1, polls);
+    const auto check = polling_spec_checker();
     const auto r =
         explore_dpor(build, check, {.max_depth = 20, .max_nodes = 200'000});
     ASSERT_TRUE(r.violation.has_value());

@@ -10,10 +10,8 @@
 #include <string>
 #include <vector>
 
-#include "explore_fixtures.h"
+#include "harness/drive.h"
 #include "memory/shared_memory.h"
-#include "signaling/algorithm.h"
-#include "signaling/dsm_registration.h"
 #include "verify/dpor.h"
 #include "verify/explorer.h"
 #include "verify/snapshot_cache.h"
@@ -21,29 +19,11 @@
 namespace rmrsim {
 namespace {
 
-ExploreBuilder signaling_builder(int n_waiters, int polls) {
-  return [=]() {
-    ExploreInstance inst;
-    inst.mem = make_dsm(n_waiters + 1);
-    auto alg = std::make_shared<DsmRegistrationSignal>(
-        *inst.mem, static_cast<ProcId>(n_waiters));
-    std::vector<Program> programs;
-    SignalingAlgorithm* a = alg.get();
-    for (int i = 0; i < n_waiters; ++i) {
-      programs.emplace_back(
-          [a, polls](ProcCtx& ctx) { return polling_waiter(ctx, a, polls); });
-    }
-    programs.emplace_back([a](ProcCtx& ctx) { return signaler(ctx, a); });
-    inst.sim = std::make_unique<Simulation>(*inst.mem, std::move(programs));
-    inst.keepalive = alg;
-    return inst;
-  };
-}
-
 /// One real snapshot, reused under many keys: these tests exercise the
 /// cache's bookkeeping (bytes, LRU, lengths), which is content-agnostic.
 std::shared_ptr<const WorldSnapshot> some_snapshot() {
-  const ExploreInstance inst = signaling_builder(1, 1)();
+  const ExploreInstance inst = signaling_explore_builder(
+      "dsm", make_signal_factory_by_name("registration", 1), 1, 1)();
   inst.sim->enable_fork_log();
   return take_snapshot(inst);
 }
@@ -126,8 +106,9 @@ TEST(SnapshotCacheEviction, StarvedCacheExplorationStillMatchesReplayMode) {
   // mode (every insert refused, every probe a miss) — slower, but verdicts,
   // schedules, and node counts must not move. Workers 1 and 2, because the
   // parallel search gives each work item its own starved private cache.
-  const auto build = signaling_builder(2, 1);
-  const auto check = polling_checker();
+  const auto build = signaling_explore_builder(
+      "dsm", make_signal_factory_by_name("registration", 2), 2, 1);
+  const auto check = polling_spec_checker();
 
   DporOptions ref_opt;
   ref_opt.max_depth = 14;
@@ -155,8 +136,9 @@ TEST(SnapshotCacheEviction, TinyButUsableBudgetStaysCorrectUnderChurn) {
   // A budget of ~2 snapshots forces constant eviction churn through a real
   // exploration. Results must match replay mode exactly; the cache must
   // actually evict (proving the churn happened, not a silent fallback).
-  const auto build = signaling_builder(2, 1);
-  const auto check = polling_checker();
+  const auto build = signaling_explore_builder(
+      "dsm", make_signal_factory_by_name("registration", 2), 2, 1);
+  const auto check = polling_spec_checker();
 
   DporOptions ref_opt;
   ref_opt.max_depth = 14;

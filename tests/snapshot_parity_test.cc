@@ -21,13 +21,8 @@
 
 #include "explore_fixtures.h"
 #include "memory/shared_memory.h"
-#include "mutex/lock.h"
-#include "mutex/recoverable_lock.h"
 #include "sched/schedulers.h"
-#include "signaling/algorithm.h"
 #include "signaling/broken.h"
-#include "signaling/checker.h"
-#include "signaling/dsm_registration.h"
 #include "verify/dpor.h"
 #include "verify/explorer.h"
 #include "verify/shrink.h"
@@ -35,56 +30,6 @@
 
 namespace rmrsim {
 namespace {
-
-template <typename Alg, typename... Args>
-ExploreBuilder signaling_builder(int n_waiters, int polls, Args... args) {
-  return [=]() {
-    ExploreInstance inst;
-    inst.mem = make_dsm(n_waiters + 1);
-    auto alg = std::make_shared<Alg>(*inst.mem, args...);
-    std::vector<Program> programs;
-    SignalingAlgorithm* a = alg.get();
-    for (int i = 0; i < n_waiters; ++i) {
-      programs.emplace_back(
-          [a, polls](ProcCtx& ctx) { return polling_waiter(ctx, a, polls); });
-    }
-    programs.emplace_back([a](ProcCtx& ctx) { return signaler(ctx, a); });
-    inst.sim = std::make_unique<Simulation>(*inst.mem, std::move(programs));
-    inst.keepalive = alg;
-    return inst;
-  };
-}
-
-ExploreBuilder recoverable_lock_builder(int nprocs, int passages) {
-  return [=]() {
-    ExploreInstance inst;
-    auto mem = make_dsm(nprocs);
-    auto lock = std::make_shared<RecoverableSpinLock>(*mem);
-    std::vector<VarId> done;
-    for (int p = 0; p < nprocs; ++p) {
-      done.push_back(mem->allocate_global(0, "done"));
-    }
-    std::vector<Program> programs;
-    for (int p = 0; p < nprocs; ++p) {
-      programs.emplace_back([lock, dv = done[p], passages](ProcCtx& ctx) {
-        return recoverable_mutex_worker(ctx, lock.get(), dv, passages);
-      });
-    }
-    inst.sim = std::make_unique<Simulation>(*mem, std::move(programs));
-    inst.keepalive = lock;
-    inst.mem = std::move(mem);
-    return inst;
-  };
-}
-
-ExploreChecker mutual_exclusion_checker() {
-  return [](const History& h) -> std::optional<std::string> {
-    if (const auto v = check_mutual_exclusion(h); v.has_value()) {
-      return v->what;
-    }
-    return std::nullopt;
-  };
-}
 
 /// Every observable the parity contract covers, comparable across worlds.
 void expect_worlds_identical(const ExploreInstance& a,
@@ -107,7 +52,8 @@ TEST(SnapshotParity, RestoredWorldMatchesReplayBuiltWorld) {
   // builds from scratch (miss) and captures stride-aligned snapshots; the
   // second restores the deepest one and replays only the suffix. The two
   // worlds must agree on everything — including their entire future.
-  const auto build = signaling_builder<DsmRegistrationSignal>(2, 1, ProcId{2});
+  const auto build = signaling_explore_builder(
+      "dsm", make_signal_factory_by_name("registration", 2), 2, 1);
   const std::vector<ProcId> prefix{0, 1, 2, 0, 1, 2, 0, 1};
 
   SnapshotCache cache({.stride = 3, .max_bytes = std::size_t{8} << 20});
@@ -147,9 +93,11 @@ TEST(SnapshotParity, ExplorerVerdictsMatchAcrossModes) {
   // Passing and violating configurations, full and counters-only history.
   // (check_polling_spec reads records, so counters-only runs only on a
   // record-free checker — use a never-fires one for that leg.)
-  const auto correct = signaling_builder<DsmRegistrationSignal>(1, 2, ProcId{1});
-  const auto broken = signaling_builder<LateFlagSignal>(2, 2, ProcId{2});
-  const auto check = polling_checker();
+  const auto correct = signaling_explore_builder(
+      "dsm", make_signal_factory_by_name("registration", 1), 1, 2);
+  const auto broken = signaling_explore_builder(
+      "dsm", signal_factory<LateFlagSignal>(ProcId{2}), 2, 2);
+  const auto check = polling_spec_checker();
 
   for (const auto* build : {&correct, &broken}) {
     ExploreOptions opt;
@@ -171,7 +119,8 @@ TEST(SnapshotParity, ExplorerVerdictsMatchAcrossModes) {
 }
 
 TEST(SnapshotParity, ExplorerCountersOnlyHistoryMatchesAcrossModes) {
-  const auto build = signaling_builder<DsmRegistrationSignal>(1, 1, ProcId{1});
+  const auto build = signaling_explore_builder(
+      "dsm", make_signal_factory_by_name("registration", 1), 1, 1);
   // Counters-only worlds refuse record reads; a ledger-grade checker.
   const ExploreChecker check = [](const History& h) -> std::optional<std::string> {
     if (h.total_rmrs() > 1'000'000) return "absurd RMR count";
@@ -190,9 +139,11 @@ TEST(SnapshotParity, ExplorerCountersOnlyHistoryMatchesAcrossModes) {
 }
 
 TEST(SnapshotParity, DporVerdictsMatchAcrossModesAndWorkers) {
-  const auto correct = signaling_builder<DsmRegistrationSignal>(2, 1, ProcId{2});
-  const auto broken = signaling_builder<LateFlagSignal>(2, 2, ProcId{2});
-  const auto check = polling_checker();
+  const auto correct = signaling_explore_builder(
+      "dsm", make_signal_factory_by_name("registration", 2), 2, 1);
+  const auto broken = signaling_explore_builder(
+      "dsm", signal_factory<LateFlagSignal>(ProcId{2}), 2, 2);
+  const auto check = polling_spec_checker();
 
   for (const auto* build : {&correct, &broken}) {
     DporOptions opt;
@@ -215,7 +166,8 @@ TEST(SnapshotParity, DporVerdictsMatchAcrossModesAndWorkers) {
 }
 
 TEST(SnapshotParity, CrashSweepMatchesAcrossModes) {
-  const auto build = recoverable_lock_builder(3, 2);
+  const auto build =
+      mutex_explore_builder("dsm", lock_factory_by_name("recoverable"), 3, 2);
   const auto check = mutual_exclusion_checker();
 
   CrashSweepOptions opt;
@@ -237,7 +189,8 @@ TEST(SnapshotParity, CrashSweepMatchesAcrossModes) {
 }
 
 TEST(SnapshotParity, CrashProductMatchesAcrossModes) {
-  const auto build = recoverable_lock_builder(2, 2);
+  const auto build =
+      mutex_explore_builder("dsm", lock_factory_by_name("recoverable"), 2, 2);
   const auto check = mutual_exclusion_checker();
 
   CrashProductOptions opt;
@@ -263,8 +216,9 @@ TEST(SnapshotParity, CrashProductMatchesAcrossModes) {
 }
 
 TEST(SnapshotParity, ShrinkWitnessMatchesAcrossModes) {
-  const auto build = signaling_builder<BrokenLocalSignal>(1, 2);
-  const auto check = polling_checker();
+  const auto build = signaling_explore_builder(
+      "dsm", make_signal_factory_by_name("broken", 1), 1, 2);
+  const auto check = polling_spec_checker();
   const ExploreResult found =
       explore_dpor(build, check, {.max_depth = 20, .max_nodes = 200'000});
   ASSERT_TRUE(found.violation.has_value());
@@ -339,7 +293,8 @@ TEST(SnapshotParity, ReplayedStepsCountSimulatorStepsNotScheduleEntries) {
   // Regression pin: replayed_steps used to count macro-schedule ENTRIES.
   // Each macro step also flushes the process's local events, so the honest
   // count — the simulator's own schedule growth — is strictly larger.
-  const auto build = signaling_builder<DsmRegistrationSignal>(2, 1, ProcId{2});
+  const auto build = signaling_explore_builder(
+      "dsm", make_signal_factory_by_name("registration", 2), 2, 1);
 
   // Record a complete macro schedule and the real step count it costs.
   ExploreInstance probe = build();

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <sstream>
 
 #include "memory/shared_memory.h"
 #include "signaling/dsm_queue.h"
@@ -99,7 +100,9 @@ TEST(LlscRegistration, CorrectAndO1PerWaiter) {
 
 TEST(Export, CsvHasOneRowPerRecordPlusHeader) {
   auto run = reg_run(2);
-  const std::string csv = history_to_csv(run.sim->history());
+  std::ostringstream os;
+  write_history_csv(os, run.sim->history());
+  const std::string csv = os.str();
   std::size_t lines = 0;
   for (const char c : csv) {
     if (c == '\n') ++lines;
@@ -111,7 +114,9 @@ TEST(Export, CsvHasOneRowPerRecordPlusHeader) {
 
 TEST(Export, JsonLinesParseableShape) {
   auto run = reg_run(2);
-  const std::string json = history_to_json_lines(run.sim->history());
+  std::ostringstream os;
+  write_history_json_lines(os, run.sim->history());
+  const std::string json = os.str();
   // Cheap structural checks: every line is one object.
   std::size_t objects = 0;
   std::size_t pos = 0;
@@ -318,7 +323,9 @@ TEST(Export, JsonLinesEscapeMarkPayloads) {
   History h;
   StepRecord r = event_rec(0, EventKind::kMark, 0);
   h.append(r);
-  const std::string json = history_to_json_lines(h);
+  std::ostringstream os;
+  write_history_json_lines(os, h);
+  const std::string json = os.str();
   // Every line must stay one well-formed object: balanced quotes, no raw
   // control characters.
   for (const char c : json) {

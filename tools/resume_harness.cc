@@ -358,12 +358,6 @@ int main(int argc, char** argv) {
         "dsm", "--waiters", "2", "--polls", "1", "--depth", "14", "--workers",
         "2", "--checkpoint-interval", "2"},
        0},
-      // Sequential replay-mode search: same guarantees on the oracle path.
-      {"signal-replay-w1",
-       {"explore", "--target", "signal", "--alg", "registration", "--model",
-        "dsm", "--waiters", "2", "--polls", "1", "--depth", "14", "--workers",
-        "1", "--mode", "replay", "--checkpoint-interval", "2"},
-       0},
       // Broken algorithm: the lex-least violating schedule is part of the
       // report, so resume must reproduce the exact counterexample too. The
       // violation truncates schedules early, so the trunk is shallow —

@@ -18,6 +18,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <iostream>
 #include <limits>
 #include <map>
 #include <optional>
@@ -37,7 +38,6 @@
 #include "lowerbound/adversary.h"
 #include "mutex/mcs_lock.h"
 #include "sched/schedulers.h"
-#include "signaling/checker.h"
 #include "signaling/workload.h"
 #include "trace/call_stats.h"
 #include "trace/export.h"
@@ -186,9 +186,9 @@ int cmd_signal(const Args& a) {
 
   const std::string trace = a.get("trace", "");
   if (trace == "csv") {
-    std::fputs(history_to_csv(run.sim->history()).c_str(), stdout);
+    write_history_csv(std::cout, run.sim->history());
   } else if (trace == "json") {
-    std::fputs(history_to_json_lines(run.sim->history()).c_str(), stdout);
+    write_history_json_lines(std::cout, run.sim->history());
   } else {
     if (trace == "timeline") {
       std::fputs(history_timeline(run.sim->history()).c_str(), stdout);
@@ -545,10 +545,10 @@ std::string schedule_str(const std::vector<ProcId>& s) {
 }
 
 // Model-check a small configuration: DPOR exploration of every schedule
-// class up to --depth, optionally racing the naive explorer on the same
-// bounds (--naive) and shrinking any counterexample (--shrink). The builder
-// is called once per tree node (and concurrently when --workers > 1), so it
-// closes over nothing mutable.
+// class up to --depth, shrinking any counterexample (--shrink). The world
+// and its checker come from harness/drive.h, where the model-checking tests
+// build theirs; the builder is called once per tree node (and concurrently
+// when --workers > 1), so it closes over nothing mutable.
 int cmd_explore(const Args& a, const char* argv0) {
   // Hidden worker mode (sharded exploration): this process was exec'd by a
   // coordinator's DistPool with the pipe protocol on stdin/stdout. Steal
@@ -577,32 +577,13 @@ int cmd_explore(const Args& a, const char* argv0) {
     const int waiters =
         static_cast<int>(a.get_int("waiters", 2, 1, kIntMax - 1));
     const int polls = static_cast<int>(a.get_int("polls", 1, 0, kIntMax));
-    const int nprocs = waiters + 1;
-    make_model_by_name(model, nprocs);  // validate before workers spawn
     // The registration variant's fixed signaler state lives with the
-    // actual signaler, process nprocs-1.
-    const SignalingFactory factory =
-        make_signal_factory_by_name(a.get("alg", "registration"), nprocs - 1);
-    build = [=]() {
-      ExploreInstance inst;
-      inst.mem = make_model_by_name(model, nprocs);
-      std::shared_ptr<SignalingAlgorithm> alg{factory(*inst.mem)};
-      std::vector<Program> programs;
-      for (int i = 0; i < waiters; ++i) {
-        programs.emplace_back([a = alg.get(), polls](ProcCtx& ctx) {
-          return polling_waiter(ctx, a, polls);
-        });
-      }
-      programs.emplace_back(
-          [a = alg.get()](ProcCtx& ctx) { return signaler(ctx, a); });
-      inst.sim = std::make_unique<Simulation>(*inst.mem, std::move(programs));
-      inst.keepalive = alg;
-      return inst;
-    };
-    check = [](const History& h) -> std::optional<std::string> {
-      if (const auto v = check_polling_spec(h)) return v->what;
-      return std::nullopt;
-    };
+    // actual signaler, process `waiters`.
+    build = signaling_explore_builder(
+        model,
+        make_signal_factory_by_name(a.get("alg", "registration"), waiters),
+        waiters, polls);
+    check = polling_spec_checker();
     std::printf("explore signal: alg %s, model %s, %d waiters x %d polls\n",
                 a.get("alg", "registration").c_str(), model.c_str(), waiters,
                 polls);
@@ -614,22 +595,9 @@ int cmd_explore(const Args& a, const char* argv0) {
     const int passages =
         static_cast<int>(a.get_int("passages", 1, 1, kIntMax));
     const std::string lock_name = a.get("lock", "tas");
-    // Validates the names before workers spawn.
-    const LockFactory factory = lock_factory_by_name(lock_name);
-    make_model_by_name(model, nprocs);
-    build = [=]() {
-      ExploreInstance inst;
-      inst.mem = make_model_by_name(model, nprocs);
-      std::shared_ptr<MutexAlgorithm> lock = factory(*inst.mem);
-      inst.sim = std::make_unique<Simulation>(
-          *inst.mem, make_mutex_programs(*inst.mem, lock, passages));
-      inst.keepalive = lock;
-      return inst;
-    };
-    check = [](const History& h) -> std::optional<std::string> {
-      if (const auto v = check_mutual_exclusion(h)) return v->what;
-      return std::nullopt;
-    };
+    build = mutex_explore_builder(model, lock_factory_by_name(lock_name),
+                                  nprocs, passages);
+    check = mutual_exclusion_checker();
     std::printf("explore mutex: lock %s, model %s, %d procs x %d passages\n",
                 lock_name.c_str(), model.c_str(), nprocs, passages);
     fp_src = "mutex|lock=" + lock_name + "|model=" + model + "|procs=" +
@@ -640,25 +608,12 @@ int cmd_explore(const Args& a, const char* argv0) {
     return 2;
   }
 
-  const std::string mode_name = a.get("mode", "snapshot");
-  SnapshotMode snapshot_mode;
-  if (mode_name == "snapshot") {
-    snapshot_mode = SnapshotMode::kSnapshot;
-  } else if (mode_name == "replay") {
-    snapshot_mode = SnapshotMode::kReplay;
-  } else {
-    std::fprintf(stderr, "unknown --mode '%s' (replay|snapshot)\n",
-                 mode_name.c_str());
-    return 2;
-  }
-
   DporOptions opt;
   opt.max_depth = static_cast<int>(a.get_int("depth", 20, 1, kIntMax));
   opt.max_nodes =
       static_cast<std::uint64_t>(a.get_int("max-nodes", 2'000'000, 0, kLongMax));
   opt.workers = static_cast<int>(a.get_int("workers", 1, 1, kIntMax));
   opt.trunk_depth = static_cast<int>(a.get_int("trunk-depth", 6, 0, kIntMax));
-  opt.snapshot_mode = snapshot_mode;
   opt.item_max_attempts =
       static_cast<int>(a.get_int("item-attempts", 3, 1, kIntMax));
   opt.retry_backoff_ms =
@@ -684,7 +639,9 @@ int cmd_explore(const Args& a, const char* argv0) {
     };
   }
 
-  fp_src += "|mode=" + mode_name + "|depth=" + std::to_string(opt.max_depth) +
+  // "|mode=snapshot" names the reconstruction engine the CLI no longer
+  // lets one choose; kept so checkpoints written before stay resumable.
+  fp_src += "|mode=snapshot|depth=" + std::to_string(opt.max_depth) +
             "|max-nodes=" + std::to_string(opt.max_nodes) + "|trunk-depth=" +
             std::to_string(opt.trunk_depth) + "|item-attempts=" +
             std::to_string(opt.item_max_attempts) + "|item-step-limit=" +
@@ -719,7 +676,7 @@ int cmd_explore(const Args& a, const char* argv0) {
     wargv.push_back("explore");
     static const std::set<std::string> coordinator_only = {
         "shards", "checkpoint-dir", "resume", "report",
-        "snapshot-stats", "shrink", "naive"};
+        "snapshot-stats", "shrink"};
     for (const auto& [k, v] : a.kv) {
       if (coordinator_only.count(k) != 0) continue;
       wargv.push_back("--" + k);
@@ -866,27 +823,6 @@ int cmd_explore(const Args& a, const char* argv0) {
   const std::string report_path = a.get("report", "");
   if (!report_path.empty()) write_file_atomic(report_path, report);
 
-  if (a.has("naive")) {
-    ExploreOptions naive_opt;
-    naive_opt.max_depth = opt.max_depth;
-    naive_opt.max_nodes = opt.max_nodes;
-    naive_opt.snapshot_mode = snapshot_mode;
-    const ExploreResult naive = explore_all_schedules(build, check, naive_opt);
-    std::printf("naive: %llu nodes, %s, verdict %s\n",
-                static_cast<unsigned long long>(naive.nodes_visited),
-                naive.exhausted ? "exhausted" : "max-nodes hit",
-                naive.violation ? ("VIOLATED: " + *naive.violation).c_str()
-                                : "no violation");
-    if (naive.exhausted && dpor.exhausted) {
-      std::printf("agreement: %s; reduction: %.1fx fewer nodes\n",
-                  naive.violation.has_value() == dpor.violation.has_value()
-                      ? "yes"
-                      : "NO — explorer bug",
-                  static_cast<double>(naive.nodes_visited) /
-                      static_cast<double>(std::max<std::uint64_t>(
-                          1, dpor.nodes_visited)));
-    }
-  }
   return dpor.violation ? 1 : 0;
 }
 
@@ -917,10 +853,7 @@ void usage() {
       "            [--shards S]  (fork S worker processes and run every\n"
       "                       work item out-of-process; the report is\n"
       "                       byte-identical for any S, 1..256)\n"
-      "            [--mode replay|snapshot]  (state reconstruction engine;\n"
-      "                       default snapshot — replay is the oracle)\n"
       "            [--snapshot-stats] (print snapshot cache counters)\n"
-      "            [--naive]  (also run the unreduced explorer, compare)\n"
       "            [--shrink] (minimize any counterexample)\n"
       "            [--report FILE]  (write the results block atomically)\n"
       "            [--checkpoint-dir D | --resume D]  (persistent frontier:\n"
@@ -980,9 +913,9 @@ const std::map<std::string, std::set<std::string>> kCommandKeys = {
     {"explore",
      {"alg", "backoff-ms", "checkpoint-dir", "checkpoint-interval", "depth",
       "dist-worker", "inject-worker-failures", "item-attempts",
-      "item-step-limit", "lock", "max-nodes", "mode", "model", "naive",
-      "passages", "polls", "procs", "report", "resume", "shards", "shrink",
-      "snapshot-stats", "target", "trunk-depth", "waiters", "workers"}},
+      "item-step-limit", "lock", "max-nodes", "model", "passages", "polls",
+      "procs", "report", "resume", "shards", "shrink", "snapshot-stats",
+      "target", "trunk-depth", "waiters", "workers"}},
     {"sweep",
      {"check", "deterministic", "exp", "golden", "list", "max-n", "out",
       "workers"}},
