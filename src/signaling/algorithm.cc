@@ -59,7 +59,8 @@ ProcTask blocking_waiter(ProcCtx& ctx, SignalingAlgorithm* alg) {
   co_await ctx.call_end(calls::kWait);
 }
 
-ProcTask signaler(ProcCtx& ctx, SignalingAlgorithm* alg, int idle_polls) {
+ProcTask signaler(ProcCtx& ctx, SignalingAlgorithm* alg, int idle_polls,
+                  bool* signaled) {
   for (int i = 0; i < idle_polls; ++i) {
     co_await ctx.call_begin(calls::kPoll);
     const bool r = co_await alg->poll(ctx);
@@ -68,6 +69,7 @@ ProcTask signaler(ProcCtx& ctx, SignalingAlgorithm* alg, int idle_polls) {
   co_await ctx.call_begin(calls::kSignal);
   co_await alg->signal(ctx);
   co_await ctx.call_end(calls::kSignal);
+  if (signaled != nullptr) *signaled = true;
 }
 
 }  // namespace rmrsim

@@ -68,6 +68,8 @@ ProcTask blocking_waiter(ProcCtx& ctx, SignalingAlgorithm* alg);
 
 /// Canned signaler: performs `idle_polls` Poll() calls (0 for none), then one
 /// Signal(), then terminates. The polls let tests exercise mixed roles.
-ProcTask signaler(ProcCtx& ctx, SignalingAlgorithm* alg, int idle_polls = 0);
+/// `signaled`, if given, is set to true as soon as the Signal() call ends.
+ProcTask signaler(ProcCtx& ctx, SignalingAlgorithm* alg, int idle_polls = 0,
+                  bool* signaled = nullptr);
 
 }  // namespace rmrsim

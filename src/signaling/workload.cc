@@ -1,11 +1,32 @@
 #include "signaling/workload.h"
 
 #include <algorithm>
+#include <memory>
 
 #include "common/check.h"
 #include "sched/schedulers.h"
 
 namespace rmrsim {
+
+namespace {
+
+/// polling_waiter, except that it also stops after a Poll() that began once
+/// the signaler's Signal() had ended and still returned false. That Poll
+/// already violates clause 2 of Specification 4.1, so polling on would only
+/// lengthen a run whose verdict is settled. A correct algorithm returns true
+/// to such a Poll, so on one this is polling_waiter step for step.
+ProcTask waiter_until_convicted(ProcCtx& ctx, SignalingAlgorithm* alg,
+                                int max_polls, const bool* signaled) {
+  for (int i = 0; i < max_polls; ++i) {
+    const bool after_signal = *signaled;
+    co_await ctx.call_begin(calls::kPoll);
+    const bool r = co_await alg->poll(ctx);
+    co_await ctx.call_end(calls::kPoll, r ? 1 : 0);
+    if (r || after_signal) co_return;
+  }
+}
+
+}  // namespace
 
 std::uint64_t SignalingRun::signaler_rmrs() const {
   return mem->ledger().rmrs(n_waiters);
@@ -38,6 +59,8 @@ SignalingRun run_signaling_workload(std::unique_ptr<SharedMemory> mem,
   r.alg = factory(*r.mem);
   SignalingAlgorithm* alg = r.alg.get();
 
+  // Host-side: set when the signaler's Signal() call ends.
+  const auto signaled = std::make_shared<bool>(false);
   std::vector<Program> programs;
   for (int i = 0; i < options.n_waiters; ++i) {
     if (options.blocking) {
@@ -45,14 +68,15 @@ SignalingRun run_signaling_workload(std::unique_ptr<SharedMemory> mem,
           [alg](ProcCtx& ctx) { return blocking_waiter(ctx, alg); });
     } else {
       const int max_polls = options.max_polls_per_waiter;
-      programs.emplace_back([alg, max_polls](ProcCtx& ctx) {
-        return polling_waiter(ctx, alg, max_polls);
+      programs.emplace_back([alg, max_polls, signaled](ProcCtx& ctx) {
+        return waiter_until_convicted(ctx, alg, max_polls, signaled.get());
       });
     }
   }
   const int idle = options.signaler_idle_polls;
-  programs.emplace_back(
-      [alg, idle](ProcCtx& ctx) { return signaler(ctx, alg, idle); });
+  programs.emplace_back([alg, idle, signaled](ProcCtx& ctx) {
+    return signaler(ctx, alg, idle, signaled.get());
+  });
 
   r.sim = std::make_unique<Simulation>(*r.mem, std::move(programs));
   r.sim->set_history_mode(options.history_mode);

@@ -53,6 +53,9 @@ struct SignalingWorkloadOptions {
 
 /// Runs waiters (procs 0..n-1) plus one signaler (proc n) to completion
 /// under a fair schedule. Throws if the run does not complete in budget.
+/// A polling waiter stops at its first true Poll(), after
+/// `max_polls_per_waiter` polls, or after a Poll() that began once Signal()
+/// had ended returns false — the run already violates the specification.
 SignalingRun run_signaling_workload(std::unique_ptr<SharedMemory> mem,
                                     const SignalingFactory& factory,
                                     const SignalingWorkloadOptions& options);

@@ -178,7 +178,7 @@ struct DporOptions {
   /// Test hook: called before each attempt with (item root schedule,
   /// attempt number, 1-based); returning true makes the attempt fail as if
   /// the worker died. Must be thread-safe.
-  std::function<bool(const std::vector<ProcId>&, int)> inject_item_failure;
+  std::function<bool(const std::vector<ProcId>&, int)> inject_item_failure = {};
   /// Non-null: work items are executed by this executor (sharded
   /// multi-process exploration, verify/dist/) instead of the in-process
   /// pool; `workers` is then ignored. Checkpointing, retry accounting, and

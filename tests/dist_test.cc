@@ -13,9 +13,10 @@
 //    writes and flipped bytes throw, clean EOF returns false.
 //  * decoder count bounds — a length field the input cannot back is a
 //    named std::runtime_error, never an allocation sized by it.
-//  * a loopback DistItemExecutor that pushes every work item through the
-//    full wire codec and run_dist_item in-process — the whole dist stack
-//    minus fork — must reproduce the in-process search byte-for-byte.
+//
+// The whole dist stack minus fork — every work item through the wire codec
+// and run_dist_item in-process — runs on every corpus world in
+// oracle_matrix_test (LoopbackExecutor).
 #include <gtest/gtest.h>
 #include <unistd.h>
 
@@ -341,125 +342,6 @@ TEST(DecoderBounds, HugeCountsAreNamedErrorsNotAllocations) {
   EXPECT_THROW(dist::decode_item(with_huge_count(head)), std::runtime_error);
   put_u32(head, 0);  // empty path
   EXPECT_THROW(dist::decode_item(with_huge_count(head)), std::runtime_error);
-}
-
-// ---- loopback executor: the dist stack minus fork --------------------
-
-/// Runs every item through the complete wire path — encode the item and
-/// its snapshot, decode both (grafting immutables from a locally built
-/// proto, exactly like a worker), execute via run_dist_item, then encode
-/// and decode the outcome — all in-process. Any divergence the codec or
-/// run_dist_item introduces shows up as a merge difference.
-class LoopbackExecutor : public DistItemExecutor {
- public:
-  LoopbackExecutor(ExploreBuilder build, ExploreChecker check,
-                   DporOptions options)
-      : build_(std::move(build)),
-        check_(std::move(check)),
-        options_(std::move(options)) {
-    if (options_.snapshot_mode == SnapshotMode::kSnapshot) {
-      proto_ = snapshot_after(build_, {});
-    }
-  }
-
-  void run_round(
-      const std::vector<DporWorkItem>& items,
-      const std::vector<std::size_t>& live,
-      const std::function<std::uint64_t()>& committed_nodes,
-      const std::function<void(std::size_t, DistItemResult&&)>& done)
-      override {
-    for (const std::size_t idx : live) {
-      dist::ItemMsg msg;
-      msg.index = idx;
-      msg.base_nodes = committed_nodes();
-      msg.collect_completes = static_cast<bool>(options_.on_complete_schedule);
-      msg.item.schedule = items[idx].schedule;
-      msg.item.path = items[idx].path;
-      msg.item.sleep = items[idx].sleep;
-      msg.item.naive_product = items[idx].naive_product;
-      msg.item.naive_sum = items[idx].naive_sum;
-      if (items[idx].root_snap != nullptr) {
-        msg.snapshot = encode_world_snapshot(*items[idx].root_snap);
-      }
-
-      dist::ItemMsg got = dist::decode_item(dist::encode_item(msg));
-      if (!got.snapshot.empty()) {
-        got.item.root_snap = std::make_shared<const WorldSnapshot>(
-            decode_world_snapshot(got.snapshot, *proto_));
-      }
-      DporOptions opts = options_;
-      opts.on_complete_schedule =
-          got.collect_completes
-              ? std::function<void(const std::vector<ProcId>&)>(
-                    [](const std::vector<ProcId>&) {})
-              : nullptr;
-      dist::OutcomeMsg out;
-      out.index = got.index;
-      out.result =
-          run_dist_item(build_, check_, opts, got.item, got.base_nodes);
-      dist::OutcomeMsg final_out =
-          dist::decode_outcome(dist::encode_outcome(out));
-      done(static_cast<std::size_t>(final_out.index),
-           std::move(final_out.result));
-    }
-  }
-
- private:
-  ExploreBuilder build_;
-  ExploreChecker check_;
-  DporOptions options_;
-  std::shared_ptr<const WorldSnapshot> proto_;
-};
-
-void expect_same_result(const ExploreResult& a, const ExploreResult& b) {
-  EXPECT_EQ(a.nodes_visited, b.nodes_visited);
-  EXPECT_EQ(a.complete_schedules, b.complete_schedules);
-  EXPECT_EQ(a.truncated_schedules, b.truncated_schedules);
-  EXPECT_EQ(a.exhausted, b.exhausted);
-  EXPECT_EQ(a.violation, b.violation);
-  EXPECT_EQ(a.violating_schedule, b.violating_schedule);
-  EXPECT_EQ(a.quarantined_items.size(), b.quarantined_items.size());
-  EXPECT_EQ(a.stats.replayed_steps, b.stats.replayed_steps);
-  EXPECT_EQ(a.stats.sleep_set_prunes, b.stats.sleep_set_prunes);
-  EXPECT_EQ(a.stats.backtrack_points, b.stats.backtrack_points);
-  EXPECT_EQ(a.stats.sleep_blocked_paths, b.stats.sleep_blocked_paths);
-  EXPECT_EQ(a.stats.naive_tree_estimate, b.stats.naive_tree_estimate);
-  EXPECT_EQ(a.stats.rounds, b.stats.rounds);
-  EXPECT_EQ(a.stats.work_items, b.stats.work_items);
-}
-
-TEST(DistExecutor, LoopbackMergesByteIdenticalToInProcess) {
-  const ExploreBuilder build = signaling_explore_builder(
-      "dsm", make_signal_factory_by_name("registration", 2), 2, 1);
-  const ExploreChecker check = polling_spec_checker();
-  DporOptions opt;
-  opt.max_depth = 14;
-
-  const ExploreResult inproc = explore_dpor(build, check, opt);
-  LoopbackExecutor exec(build, check, opt);
-  DporOptions dist_opt = opt;
-  dist_opt.dist = &exec;
-  const ExploreResult dist = explore_dpor(build, check, dist_opt);
-  expect_same_result(inproc, dist);
-  EXPECT_TRUE(dist.exhausted);
-  EXPECT_GT(dist.stats.work_items, 0u)
-      << "the workload must actually exercise the executor";
-}
-
-TEST(DistExecutor, LoopbackMatchesInReplayModeToo) {
-  const ExploreBuilder build = signaling_explore_builder(
-      "dsm", make_signal_factory_by_name("registration", 2), 2, 1);
-  const ExploreChecker check = polling_spec_checker();
-  DporOptions opt;
-  opt.max_depth = 14;
-  opt.snapshot_mode = SnapshotMode::kReplay;
-
-  const ExploreResult inproc = explore_dpor(build, check, opt);
-  LoopbackExecutor exec(build, check, opt);
-  DporOptions dist_opt = opt;
-  dist_opt.dist = &exec;
-  const ExploreResult dist = explore_dpor(build, check, dist_opt);
-  expect_same_result(inproc, dist);
 }
 
 }  // namespace

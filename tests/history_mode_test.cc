@@ -1,7 +1,7 @@
 // HistoryMode::kCountersOnly: the aggregate counters must agree exactly
-// with a full-history run of the same deterministic schedule, the
-// record-backed relations must refuse rather than lie, and the DPOR
-// explorer must produce identical verdicts with the opt-in enabled.
+// with a full-history run of the same deterministic schedule, and the
+// record-backed relations must refuse rather than lie. (The explorers with
+// the counters-only opt-in run in oracle_matrix_test.)
 //
 // A counters-only Simulation::run with no fork log and no listener takes
 // the fast step path (no StepRecord), so the full-vs-counters comparison
@@ -20,7 +20,6 @@
 #include "sched/schedulers.h"
 #include "signaling/cc_flag.h"
 #include "signaling/workload.h"
-#include "verify/dpor.h"
 
 namespace rmrsim {
 namespace {
@@ -176,28 +175,6 @@ TEST(HistoryMode, SetModeRequiresEmptyHistory) {
   rec.proc = 0;
   h.append(std::move(rec));
   EXPECT_THROW(h.set_mode(HistoryMode::kCountersOnly), std::logic_error);
-}
-
-TEST(HistoryMode, DporVerdictIdenticalWithCountersOnly) {
-  // The reduction's node accounting cannot depend on the recording mode
-  // when the checker is counter-backed.
-  const ExploreBuilder build = signaling_explore_builder(
-      "dsm", make_signal_factory_by_name("registration", 2), 2, 1);
-  const ExploreChecker check =
-      [](const History& h) -> std::optional<std::string> {
-    if (h.total_rmrs() > 1'000'000) return "absurd RMR count";
-    return std::nullopt;
-  };
-  DporOptions opt;
-  opt.max_depth = 20;
-  const ExploreResult with_records = explore_dpor(build, check, opt);
-  opt.counters_only_history = true;
-  const ExploreResult counters = explore_dpor(build, check, opt);
-  EXPECT_EQ(with_records.nodes_visited, counters.nodes_visited);
-  EXPECT_EQ(with_records.complete_schedules, counters.complete_schedules);
-  EXPECT_EQ(with_records.truncated_schedules, counters.truncated_schedules);
-  EXPECT_EQ(with_records.exhausted, counters.exhausted);
-  EXPECT_EQ(with_records.violation.has_value(), counters.violation.has_value());
 }
 
 }  // namespace

@@ -17,6 +17,7 @@
 #include "signaling/dsm_queue.h"
 #include "signaling/dsm_registration.h"
 #include "signaling/dsm_single_waiter.h"
+#include "signaling/workload.h"
 
 namespace rmrsim {
 namespace {
@@ -329,6 +330,25 @@ TEST(CheckerSharpness, BrokenAlgorithmIsFlagged) {
   ASSERT_TRUE(sim.all_terminated());
   const auto v = check_polling_spec(sim.history());
   ASSERT_TRUE(v.has_value()) << "checker failed to flag the broken algorithm";
+}
+
+TEST(CheckerSharpness, BrokenWorkloadStopsAtTheConvictingPoll) {
+  // Each waiter's first Poll() that begins after the Signal() returns
+  // false, which settles the verdict: the workload stops the waiter there
+  // instead of letting it poll max_polls_per_waiter (1M) times.
+  SignalingWorkloadOptions opt;
+  opt.n_waiters = 2;
+  opt.signaler_idle_polls = 4;
+  const SignalingRun run = run_signaling_workload(
+      make_dsm(3),
+      [](SharedMemory& m) { return std::make_unique<BrokenLocalSignal>(m); },
+      opt);
+  EXPECT_LT(run.sim->history().size(), 1'000u);
+  const auto v = check_polling_spec(run.sim->history());
+  ASSERT_TRUE(v.has_value());
+  EXPECT_EQ(v->what,
+            "Poll() returned false although a Signal() completed before it "
+            "began");
 }
 
 TEST(CheckerSharpness, SignalTwiceIsFlagged) {

@@ -4,6 +4,16 @@
 // behaves badly when memory is scarce" would silently translate into
 // "exploration slows down or — worse — diverges"; these tests pin the
 // starved-cache contract directly and end-to-end.
+//
+// Also pinned here, at the level of one world (the engines' replay-vs-
+// snapshot parity runs in oracle_matrix_test):
+//   - a world restored from a snapshot matches the replay-built world step
+//     for step: schedule, history, RMR ledger totals and all future
+//     behavior;
+//   - crash side effects survive the fork: a crashed process's cleared LL
+//     reservation stays cleared in the clone;
+//   - ExploreStats::replayed_steps counts simulator steps actually
+//     executed, not macro-schedule entries (the historical undercount).
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -12,6 +22,7 @@
 
 #include "harness/drive.h"
 #include "memory/shared_memory.h"
+#include "sched/schedulers.h"
 #include "verify/dpor.h"
 #include "verify/explorer.h"
 #include "verify/snapshot_cache.h"
@@ -160,6 +171,139 @@ TEST(SnapshotCacheEviction, TinyButUsableBudgetStaysCorrectUnderChurn) {
   EXPECT_EQ(churned.violating_schedule, ref.violating_schedule);
   EXPECT_GT(churned.stats.snapshot_evictions, 0u)
       << "the budget was supposed to be tight enough to churn";
+}
+
+// ---- restored worlds ------------------------------------------------------
+
+/// Every observable the parity contract covers, comparable across worlds.
+void expect_worlds_identical(const ExploreInstance& a,
+                             const ExploreInstance& b) {
+  EXPECT_EQ(a.sim->schedule(), b.sim->schedule());
+  EXPECT_EQ(a.sim->now(), b.sim->now());
+  EXPECT_EQ(a.sim->history().size(), b.sim->history().size());
+  EXPECT_EQ(a.sim->history().total_rmrs(), b.sim->history().total_rmrs());
+  EXPECT_EQ(a.mem->ledger().total_ops(), b.mem->ledger().total_ops());
+  EXPECT_EQ(a.mem->ledger().total_rmrs(), b.mem->ledger().total_rmrs());
+  for (ProcId p = 0; p < static_cast<ProcId>(a.sim->nprocs()); ++p) {
+    EXPECT_EQ(a.sim->history().rmrs(p), b.sim->history().rmrs(p)) << "p=" << p;
+    EXPECT_EQ(a.mem->ledger().rmrs(p), b.mem->ledger().rmrs(p)) << "p=" << p;
+    EXPECT_EQ(a.sim->terminated(p), b.sim->terminated(p)) << "p=" << p;
+  }
+}
+
+TEST(SnapshotParity, RestoredWorldMatchesReplayBuiltWorld) {
+  // Materialize the same prefix twice through one cache: the first call
+  // builds from scratch (miss) and captures stride-aligned snapshots; the
+  // second restores the deepest one and replays only the suffix. The two
+  // worlds must agree on everything — including their entire future.
+  const auto build = signaling_explore_builder(
+      "dsm", make_signal_factory_by_name("registration", 2), 2, 1);
+  const std::vector<ProcId> prefix{0, 1, 2, 0, 1, 2, 0, 1};
+
+  SnapshotCache cache({.stride = 3, .max_bytes = std::size_t{8} << 20});
+  ExploreStats cold, warm;
+  ExploreInstance a = materialize_schedule(build, prefix, ReplayUnit::kMacro,
+                                           /*counters_only=*/false, &cache,
+                                           &cold);
+  ExploreInstance b = materialize_schedule(build, prefix, ReplayUnit::kMacro,
+                                           /*counters_only=*/false, &cache,
+                                           &warm);
+  EXPECT_EQ(cold.snapshot_hits, 0u);
+  EXPECT_EQ(cold.snapshot_misses, 1u);
+  EXPECT_GT(cold.snapshots_taken, 0u);
+  EXPECT_EQ(warm.snapshot_hits, 1u);
+  EXPECT_LT(warm.replayed_steps, cold.replayed_steps)
+      << "the restored rebuild must replay only the suffix";
+  expect_worlds_identical(a, b);
+
+  // Same future: drive both restored-vs-rebuilt worlds to completion.
+  fair_drive(*a.sim, 100'000);
+  fair_drive(*b.sim, 100'000);
+  expect_worlds_identical(a, b);
+  EXPECT_TRUE(a.sim->all_terminated());
+}
+
+ProcTask ll_then_reads(ProcCtx& ctx, VarId x) {
+  co_await ctx.ll(x);
+  co_await ctx.read(x);
+  co_await ctx.read(x);
+}
+
+ProcTask read_twice(ProcCtx& ctx, VarId x) {
+  co_await ctx.read(x);
+  co_await ctx.read(x);
+}
+
+TEST(SnapshotParity, CrashThenForkKeepsReservationsCleared) {
+  // A crash destroys the victim's link register (its LL reservation). The
+  // snapshot must capture the post-crash truth — the clone may not
+  // resurrect the reservation by replaying the victim's pre-crash LL.
+  auto mem = make_dsm(2);
+  const VarId x = mem->allocate_global(0, "x");
+  std::vector<Program> programs;
+  programs.emplace_back([x](ProcCtx& ctx) { return ll_then_reads(ctx, x); });
+  programs.emplace_back([x](ProcCtx& ctx) { return read_twice(ctx, x); });
+  Simulation sim(*mem, std::move(programs));
+  sim.enable_fork_log();
+
+  sim.step(0);  // applies the LL
+  ASSERT_TRUE(mem->store().has_reservation(0, x));
+
+  // A fork of the live world preserves the reservation...
+  Simulation::ForkedWorld live = sim.fork();
+  EXPECT_TRUE(live.mem->store().has_reservation(0, x));
+
+  // ...and a fork taken after the crash preserves the *cleared* state.
+  sim.crash(0);
+  ASSERT_FALSE(mem->store().has_reservation(0, x));
+  Simulation::ForkedWorld crashed = sim.fork();
+  EXPECT_FALSE(crashed.mem->store().has_reservation(0, x));
+  EXPECT_TRUE(crashed.sim->crashed(0));
+  ASSERT_EQ(sim.fault_trace().size(), 1u);
+  EXPECT_EQ(crashed.sim->fault_trace().size(), 1u)
+      << "the clone keeps the crash on record";
+
+  // Recovery in the clone restarts the program; the reservation only comes
+  // back once the re-executed LL is applied — never for free.
+  crashed.sim->recover(0);
+  EXPECT_FALSE(crashed.mem->store().has_reservation(0, x));
+  crashed.sim->step(0);
+  EXPECT_TRUE(crashed.mem->store().has_reservation(0, x));
+
+  // The clone's activity never leaks back into the original world.
+  EXPECT_FALSE(mem->store().has_reservation(0, x));
+}
+
+TEST(SnapshotParity, ReplayedStepsCountSimulatorStepsNotScheduleEntries) {
+  // Regression pin: replayed_steps used to count macro-schedule ENTRIES.
+  // Each macro step also flushes the process's local events, so the honest
+  // count — the simulator's own schedule growth — is strictly larger.
+  const auto build = signaling_explore_builder(
+      "dsm", make_signal_factory_by_name("registration", 2), 2, 1);
+
+  // Record a complete macro schedule and the real step count it costs.
+  ExploreInstance probe = build();
+  std::vector<ProcId> macro;
+  while (!probe.sim->all_terminated()) {
+    for (ProcId p = 0; p < static_cast<ProcId>(probe.sim->nprocs()); ++p) {
+      if (probe.sim->runnable(p)) {
+        macro.push_back(p);
+        probe.sim->macro_step(p);
+        break;
+      }
+    }
+  }
+  const std::uint64_t real_steps = probe.sim->schedule().size();
+  ASSERT_GT(real_steps, macro.size())
+      << "macro entries must undercount (each flushes events too)";
+
+  ExploreStats stats;
+  const ExploreInstance rebuilt =
+      materialize_schedule(build, macro, ReplayUnit::kMacro,
+                           /*counters_only=*/false, /*cache=*/nullptr, &stats);
+  EXPECT_EQ(stats.replayed_steps, real_steps);
+  EXPECT_EQ(rebuilt.sim->schedule().size(), real_steps);
+  EXPECT_EQ(stats.snapshot_delta_steps, 0u) << "nothing was restored";
 }
 
 }  // namespace
