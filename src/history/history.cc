@@ -61,6 +61,12 @@ const std::vector<StepRecord>& History::records() const {
   return records_;
 }
 
+History::ProcCounters& History::counters_for(ProcId p) {
+  const auto idx = static_cast<std::size_t>(p);
+  if (idx >= per_proc_.size()) [[unlikely]] per_proc_.resize(idx + 1);
+  return per_proc_[idx];
+}
+
 void History::fold_into_counters(const StepRecord& r) {
   ProcCounters& c = counters_for(r.proc);
   ++c.steps;

@@ -59,17 +59,6 @@ class History {
   /// very first append pays a reallocation.
   void reserve(std::size_t n) { records_.reserve(n); }
 
-  /// Counters-only fast appends for Simulation::run's fast path: fold the
-  /// step directly into the aggregates without materializing a StepRecord.
-  /// Each is exactly append() + fold_into_counters() specialized for its step
-  /// shape; kCountersOnly mode is required so no record store is bypassed.
-  /// Crash and recovery events never take this path (Simulation::crash/
-  /// recover build full records), so note_event_step covers call/mark/
-  /// directive/delay only. Defined inline below the class: they run once per
-  /// simulated step on the fast path, where a cross-TU call is measurable.
-  void note_mem_step(ProcId p, bool rmr, bool ll_sc, bool terminated);
-  void note_event_step(ProcId p, bool terminated);
-
   /// Par(H): processes that take at least one step.
   std::vector<ProcId> participants() const;
   bool participated(ProcId p) const;
@@ -187,37 +176,6 @@ class History {
   std::uint64_t recovery_events_ = 0;
   bool saw_ll_sc_ = false;
 };
-
-inline History::ProcCounters& History::counters_for(ProcId p) {
-  const auto idx = static_cast<std::size_t>(p);
-  if (idx >= per_proc_.size()) [[unlikely]] per_proc_.resize(idx + 1);
-  return per_proc_[idx];
-}
-
-inline void History::note_mem_step(ProcId p, bool rmr, bool ll_sc,
-                                   bool terminated) {
-  ensure(mode_ == HistoryMode::kCountersOnly,
-         "note_mem_step() is a counters-only fast path");
-  ProcCounters& c = counters_for(p);
-  ++c.steps;
-  ++size_;
-  if (terminated) c.finished = true;
-  ++c.mem_steps;
-  if (rmr) {
-    ++c.rmrs;
-    ++total_rmrs_;
-  }
-  if (ll_sc) saw_ll_sc_ = true;
-}
-
-inline void History::note_event_step(ProcId p, bool terminated) {
-  ensure(mode_ == HistoryMode::kCountersOnly,
-         "note_event_step() is a counters-only fast path");
-  ProcCounters& c = counters_for(p);
-  ++c.steps;
-  ++size_;
-  if (terminated) c.finished = true;
-}
 
 /// The value a nontrivial memory-op record stored into its variable.
 Word written_value(const StepRecord& r);

@@ -183,14 +183,6 @@ Simulation::Stop Simulation::run_until_rmr_pending(ProcId p,
   return terminated(p) ? Stop::kTerminated : Stop::kBudget;
 }
 
-void Simulation::run_to_termination(ProcId p, std::uint64_t max_steps) {
-  for (std::uint64_t i = 0; i < max_steps; ++i) {
-    if (terminated(p)) return;
-    step(p);
-  }
-  ensure(terminated(p), "run_to_termination exceeded its step budget");
-}
-
 bool Simulation::run_proc_until(
     ProcId p, const std::function<bool(const StepRecord&)>& pred,
     std::uint64_t max_steps) {
@@ -448,60 +440,9 @@ std::size_t WorldSnapshot::approx_bytes() const {
   return bytes;
 }
 
-void Simulation::step_fast(ProcId p) {
-  Proc& pr = proc(p);
-  ensure(!pr.finished, "stepping a terminated process");
-  ensure(!pr.crashed, "stepping a crashed process (recover it first)");
-  const PendingAction& a = pr.ctx->pending();
-  bool mem = false;
-  bool rmr = false;
-  bool ll_sc = false;
-  switch (a.kind) {
-    case ActionKind::kMemOp: {
-      // Charged to the ledger here, per step: FaultScheduler's rmr: trigger
-      // reads the ledger between steps, so a batched charge would fire late.
-      const OpOutcome outcome = memory_->apply(p, a.op);
-      mem = true;
-      rmr = outcome.rmr;
-      ll_sc = a.op.type == OpType::kLl || a.op.type == OpType::kSc;
-      pr.ctx->resume_with_outcome(outcome);
-      break;
-    }
-    case ActionKind::kEvent:
-      pr.ctx->resume_plain();
-      break;
-    case ActionKind::kDirective:
-      ensure(static_cast<bool>(policy_),
-             "driver requested a directive but no policy is set");
-      pr.ctx->resume_with_directive(policy_(p, pr.directives++));
-      break;
-    case ActionKind::kDelay:
-      ensure(now_ >= pr.wake_time,
-             "stepping a delayed process before its wake time");
-      pr.ctx->resume_from_delay();
-      break;
-    case ActionKind::kFinished:
-      fail("stepping a process with no pending action");
-  }
-  ++now_;
-  const bool done = settle(pr);
-  ++pr.steps;
-  schedule_.push_back(p);
-  if (mem) {
-    history_.note_mem_step(p, rmr, ll_sc, done);
-  } else {
-    history_.note_event_step(p, done);
-  }
-}
-
 Simulation::RunResult Simulation::run(Scheduler& sched,
                                       std::uint64_t max_steps) {
   RunResult r;
-  // Counters-only fast path: per-step records are dropped anyway and nothing
-  // consumes resume logs or coherence events, so steps skip StepRecord
-  // construction entirely (DESIGN.md §9.1).
-  const bool fast = history_.mode() == HistoryMode::kCountersOnly &&
-                    !fork_log_ && memory_->listener() == nullptr;
   while (r.steps < max_steps && !all_terminated()) {
     const ProcId p = sched.next(*this);
     if (p == kNoProc) {
@@ -519,11 +460,7 @@ Simulation::RunResult Simulation::run(Scheduler& sched,
       ++r.steps;  // ticks consume budget too (they advance time)
       continue;
     }
-    if (fast) {
-      step_fast(p);
-    } else {
-      step(p);
-    }
+    step(p);
     ++r.steps;
   }
   r.all_terminated = all_terminated();

@@ -144,9 +144,6 @@ class Simulation {
   /// or `max_steps` of p's steps have been applied.
   Stop run_until_rmr_pending(ProcId p, std::uint64_t max_steps);
 
-  /// Steps p until it terminates (solo run); throws if the budget is hit.
-  void run_to_termination(ProcId p, std::uint64_t max_steps);
-
   /// Steps p until the just-applied step satisfies `pred`. Returns true if a
   /// matching step was applied within `max_steps`, false if p terminated or
   /// the budget ran out first. The standard way to drive a process to a
@@ -162,7 +159,10 @@ class Simulation {
   };
 
   /// Runs under a scheduler until everyone terminated, the scheduler returns
-  /// kNoProc, or max_steps total steps were applied.
+  /// kNoProc with no sleeper left to wake, or max_steps steps and ticks were
+  /// spent. Every step goes through step(), in either history mode; when
+  /// only sleepers remain the clock ticks, and each tick counts against the
+  /// budget.
   RunResult run(Scheduler& sched, std::uint64_t max_steps);
 
   const History& history() const { return history_; }
@@ -326,13 +326,6 @@ class Simulation {
   /// completion (rethrowing any escaped exception), else arms a fresh
   /// delay. Returns true iff pr finished.
   bool settle(Proc& pr);
-
-  /// Counters-only fast path (no records, no fork log, no listener): applies
-  /// p's pending action and resumes its frame like step(), without building
-  /// a StepRecord. Counter updates replicate History::fold_into_counters
-  /// exactly, and the ledger is charged per step through SharedMemory::apply
-  /// — fault triggers read it between steps.
-  void step_fast(ProcId p);
 
   SharedMemory* memory_;
   std::uint64_t now_ = 0;

@@ -62,39 +62,12 @@ ProcId BoundedGapScheduler::next(Simulation& sim) {
 }
 
 DriveOutcome fair_drive(Simulation& sim, std::uint64_t max_steps) {
-  ProcId last = -1;
-  for (std::uint64_t s = 0; s < max_steps; ++s) {
-    if (sim.all_terminated()) return DriveOutcome::kAllTerminated;
-    const int n = sim.nprocs();
-    ProcId pick = kNoProc;
-    for (int i = 1; i <= n; ++i) {
-      const ProcId c = static_cast<ProcId>((last + i) % n);
-      if (sim.ready(c)) {
-        pick = c;
-        break;
-      }
-    }
-    if (pick == kNoProc) {
-      // Nobody ready: tick if a sleeper will wake, otherwise the run is
-      // wedged — everyone left is crashed, and no budget would change that.
-      bool sleeper = false;
-      for (ProcId p = 0; p < n; ++p) {
-        if (sim.runnable(p)) {
-          sleeper = true;
-          break;
-        }
-      }
-      if (!sleeper) {
-        return sim.all_terminated() ? DriveOutcome::kAllTerminated
-                                    : DriveOutcome::kWedged;
-      }
-      sim.tick();
-      continue;
-    }
-    last = pick;
-    sim.step(pick);
+  RoundRobinScheduler rr;
+  if (sim.run(rr, max_steps).all_terminated) {
+    return DriveOutcome::kAllTerminated;
   }
-  if (sim.all_terminated()) return DriveOutcome::kAllTerminated;
+  // Short of its budget, run() stops only when nobody is runnable: every
+  // process left is crashed.
   for (ProcId p = 0; p < sim.nprocs(); ++p) {
     if (sim.runnable(p)) return DriveOutcome::kBudget;
   }

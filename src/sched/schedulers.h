@@ -84,18 +84,20 @@ class ScriptedScheduler final : public Scheduler {
 /// How a fair_drive() run ended. kWedged and kBudget are distinct progress
 /// failures: a wedged run can never move again no matter the budget (every
 /// non-terminated process is crashed), while a budget-exhausted run still had
-/// ready processes — typically spinners — when the driver gave up. Crash
-/// sweeps report the two separately (CrashSweepResult).
+/// runnable processes — spinners, or sleepers inside delay() — when the
+/// driver gave up. Crash sweeps report the two separately (CrashSweepResult).
 enum class DriveOutcome {
   kAllTerminated,  ///< every process ran to completion
   kWedged,         ///< no process can ever step again
-  kBudget,         ///< the step budget ran out with ready processes left
+  kBudget,         ///< the step budget ran out with runnable processes left
 };
 
-/// Drives the simulation fair (round-robin over ready processes, ticking the
-/// clock when only sleepers remain) for at most `max_steps` steps/ticks.
-/// The fair-history workhorse of the crash sweeps; scheduler-free so callers
-/// that replay exact prefixes can keep driving the same Simulation.
+/// Drives the simulation fair: Simulation::run under a fresh
+/// RoundRobinScheduler (round-robin over ready processes from process 0,
+/// ticking the clock when only sleepers remain) for at most `max_steps`
+/// steps and ticks, then classifies how the run ended. The fair-history
+/// workhorse of the crash sweeps; callers that replay exact prefixes keep
+/// driving the same Simulation.
 DriveOutcome fair_drive(Simulation& sim, std::uint64_t max_steps);
 
 /// Fair among all processes except one: the classic crash-stop model ("the

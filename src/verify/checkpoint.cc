@@ -21,8 +21,10 @@ namespace fs = std::filesystem;
 // misparsed. Version history:
 //   v2  added a subtree footprint summary to ItemOutcome.
 //   v3  dropped that summary again (it only fed the removed state dedup).
+//   v4  dropped ItemOutcome's per-item node count (nothing read it; the
+//       budget is charged through `charged`).
 constexpr char kMagic[8] = {'R', 'M', 'R', 'C', 'K', 'P', 'T', '1'};
-constexpr std::uint32_t kVersion = 3;
+constexpr std::uint32_t kVersion = 4;
 
 std::string epoch_filename(std::uint64_t epoch) {
   char buf[32];
@@ -52,7 +54,6 @@ std::string encode_item_outcome(const ItemOutcome& out) {
   std::string b;
   put_schedule(b, out.schedule);
   put_u64(b, out.charged);
-  put_u64(b, out.nodes);
   put_u64(b, out.complete);
   put_u64(b, out.truncated);
   put_u64(b, out.sleep_prunes);
@@ -87,7 +88,6 @@ ItemOutcome decode_item_outcome(std::string_view bytes) {
   ItemOutcome out;
   out.schedule = r.schedule();
   out.charged = r.u64();
-  out.nodes = r.u64();
   out.complete = r.u64();
   out.truncated = r.u64();
   out.sleep_prunes = r.u64();

@@ -62,7 +62,6 @@ struct ItemOutcome {
   /// Node-budget charges the item made (committed to the shared counter
   /// only when the attempt succeeds, so failed attempts charge nothing).
   std::uint64_t charged = 0;
-  std::uint64_t nodes = 0;
   std::uint64_t complete = 0;
   std::uint64_t truncated = 0;
   std::uint64_t sleep_prunes = 0;

@@ -204,7 +204,6 @@ void DistPool::run_round(
       ItemMsg msg;
       msg.index = j.idx;
       msg.base_nodes = committed_nodes();
-      msg.collect_completes = config_.collect_completes;
       msg.item.schedule = item.schedule;
       msg.item.path = item.path;
       msg.item.sleep = item.sleep;

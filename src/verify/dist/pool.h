@@ -46,8 +46,6 @@ class DistPool : public DistItemExecutor {
     /// Total attempts per item across worker deaths (DporOptions::
     /// item_max_attempts).
     int item_max_attempts = 3;
-    /// Ship complete schedules back (coordinator collects them).
-    bool collect_completes = false;
     /// Environment variables to clear in respawned workers (the worker
     /// kill-switch RMRSIM_WORKER_EXIT_AFTER_ITEMS must fire once, not on
     /// every respawn).

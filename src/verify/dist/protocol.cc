@@ -86,7 +86,6 @@ std::string encode_item(const ItemMsg& msg) {
   put_tag(out, MsgTag::kItem);
   put_u64(out, msg.index);
   put_u64(out, msg.base_nodes);
-  put_u32(out, msg.collect_completes ? 1 : 0);
   put_schedule(out, msg.item.schedule);
   put_u32(out, static_cast<std::uint32_t>(msg.item.path.size()));
   for (const DporPathStep& s : msg.item.path) {
@@ -114,7 +113,6 @@ ItemMsg decode_item(std::string_view payload) {
   ItemMsg msg;
   msg.index = r.u64();
   msg.base_nodes = r.u64();
-  msg.collect_completes = r.u32() != 0;
   msg.item.schedule = r.schedule();
   // Untrusted counts: the input must hold that many minimum-size entries.
   const std::uint32_t npath = r.u32();

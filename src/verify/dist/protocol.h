@@ -38,7 +38,10 @@ namespace rmrsim::dist {
 //       fields.
 //   v3  outcomes no longer carry a subtree footprint summary (checkpoint
 //       format v3).
-inline constexpr std::uint32_t kProtocolVersion = 3;
+//   v4  items no longer carry a collect-completes flag (complete schedules
+//       are collected in-process only), and outcomes no longer carry a node
+//       count (checkpoint format v4).
+inline constexpr std::uint32_t kProtocolVersion = 4;
 
 enum class MsgTag : std::uint32_t {
   kHello = 1,
@@ -57,7 +60,6 @@ struct HelloMsg {
 struct ItemMsg {
   std::uint64_t index = 0;       ///< round-local item index, echoed back
   std::uint64_t base_nodes = 0;  ///< coordinator's committed count at dispatch
-  bool collect_completes = false;
   /// The work item; `item.root_snap` stays null on the wire — the world
   /// travels as `snapshot` and is grafted onto the worker's proto.
   DporWorkItem item;

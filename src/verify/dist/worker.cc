@@ -59,18 +59,10 @@ int run_dist_worker(const ExploreBuilder& build, const ExploreChecker& check,
       msg.item.root_snap = std::make_shared<const WorldSnapshot>(
           decode_world_snapshot(msg.snapshot, *proto));
     }
-    DporOptions opts = options;
-    if (msg.collect_completes) {
-      // Presence alone makes run_dist_item collect complete schedules into
-      // the outcome; the callback itself is never invoked worker-side.
-      opts.on_complete_schedule = [](const std::vector<ProcId>&) {};
-    } else {
-      opts.on_complete_schedule = nullptr;
-    }
     OutcomeMsg out;
     out.index = msg.index;
     out.result =
-        run_dist_item(build, check, opts, msg.item, msg.base_nodes);
+        run_dist_item(build, check, options, msg.item, msg.base_nodes);
     write_frame(out_fd, encode_outcome(out));
     ++served;
   }

@@ -268,7 +268,6 @@ void run_item(Shared& sh, const WorkItem& item, ItemOutcome& out) {
       sim_valid = true;
     }
     const MacroFootprint fp = inst.sim->macro_step(q);
-    ++out.nodes;
 
     std::vector<std::size_t> races;
     std::vector<std::int32_t> clock = race_scan(path, q, fp, nprocs, &races);
@@ -425,6 +424,9 @@ ExploreInstance replay_macro_schedule(const ExploreBuilder& build,
 ExploreResult explore_dpor(const ExploreBuilder& build,
                            const ExploreChecker& check,
                            const DporOptions& options) {
+  ensure(options.dist == nullptr || !options.on_complete_schedule,
+         "explore_dpor: on_complete_schedule cannot be combined with a dist "
+         "executor (complete schedules are collected in-process only)");
   ExploreResult result;
   Shared sh;
   init_shared(sh, build, check, options);

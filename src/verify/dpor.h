@@ -23,7 +23,12 @@
 //                 and observable-event order (see observable_event());
 //                 checkers that key on the positions of process-local
 //                 bookkeeping events can distinguish members of a class
-//                 and are outside the reduction's contract.
+//                 and are outside the reduction's contract. Completeness
+//                 is bounded: a clean verdict proves the instance only
+//                 when truncated_schedules == 0. A truncated schedule was
+//                 cut at max_depth with processes still running, so what
+//                 follows the cut was never checked (`explore` then
+//                 reports "clean within depth D, N truncated schedules").
 //
 // Two macro steps are dependent iff they touch the same variable with at
 // least one mutation, or both flush observable events
@@ -137,6 +142,7 @@ struct DporOptions {
   /// Called once per complete schedule (every process terminated), in the
   /// canonical deterministic order, with the macro schedule that reaches
   /// it. Used by sweep_crash_product to enumerate crash-injection bases.
+  /// In-process only: explore_dpor refuses it together with `dist`.
   std::function<void(const std::vector<ProcId>&)> on_complete_schedule = {};
   /// Same meaning as ExploreOptions::counters_only_history: built instances
   /// skip per-step records. Only sound with counter-backed checkers.
@@ -205,9 +211,9 @@ ExploreResult explore_dpor(const ExploreBuilder& build,
 /// item's budget check is `base_nodes + charged > options.max_nodes`, which
 /// matches the in-process pool whenever the budget does not trip.
 /// `options.checkpoint`, `options.dist`, and `options.workers` are ignored.
-/// `options.on_complete_schedule` is never invoked, but its *presence*
-/// makes the item collect complete schedules into the outcome (workers set
-/// a dummy callback when the coordinator collects).
+/// `options.on_complete_schedule` is left empty: complete schedules are
+/// collected in-process only, and explore_dpor refuses a dist executor
+/// together with the callback.
 DistItemResult run_dist_item(const ExploreBuilder& build,
                              const ExploreChecker& check,
                              const DporOptions& options,

@@ -68,7 +68,6 @@ ItemOutcome sample_outcome() {
   ItemOutcome out;
   out.schedule = {0, 2, 1};
   out.charged = 7;
-  out.nodes = 6;
   out.complete = 2;
   out.truncated = 1;
   out.sleep_prunes = 3;
@@ -95,7 +94,6 @@ TEST(CheckpointFormat, EncodeDecodeRoundTrip) {
   const ItemOutcome back = decode_item_outcome(encode_item_outcome(out));
   EXPECT_EQ(back.schedule, out.schedule);
   EXPECT_EQ(back.charged, out.charged);
-  EXPECT_EQ(back.nodes, out.nodes);
   EXPECT_EQ(back.complete, out.complete);
   EXPECT_EQ(back.truncated, out.truncated);
   EXPECT_EQ(back.sleep_prunes, out.sleep_prunes);
@@ -240,25 +238,31 @@ TEST(Checkpoint, EpochOfAnotherFormatVersionIsDiscarded) {
   const std::string path = dir.path + "/epoch-000001.ckpt";
   // Header: magic (8 bytes), version (u32), fingerprint, epoch and the two
   // record counts (u64 each), then the CRC-32 of those 44 bytes. Rewrite
-  // the version to 2 — the layout whose outcomes still carried footprint
-  // summaries — and re-seal the header so only the version is wrong.
-  std::optional<std::string> bytes = read_file(path);
+  // the version to an older layout — 2 still carried footprint summaries,
+  // 3 a per-item node count — and re-seal the header so only the version
+  // is wrong.
+  const std::optional<std::string> bytes = read_file(path);
   ASSERT_TRUE(bytes.has_value());
   constexpr std::size_t kHeaderLen = 44;
   ASSERT_GT(bytes->size(), kHeaderLen + 4);
-  std::string header = bytes->substr(0, 8);
-  put_u32(header, 2);
-  header.append(*bytes, 12, kHeaderLen - 12);
-  put_u32(header, crc32(header));
-  write_file_atomic(path, header + bytes->substr(kHeaderLen + 4));
+  for (const std::uint32_t version : {2u, 3u}) {
+    SCOPED_TRACE(version);
+    std::string header = bytes->substr(0, 8);
+    put_u32(header, version);
+    header.append(*bytes, 12, kHeaderLen - 12);
+    put_u32(header, crc32(header));
+    write_file_atomic(path, header + bytes->substr(kHeaderLen + 4));
 
-  ExploreCheckpoint ck(cfg);
-  const auto rep = ck.load_latest();
-  EXPECT_EQ(rep.epoch, 0u) << "no epoch of another version is installed";
-  EXPECT_EQ(rep.outcomes, 0u);
-  ASSERT_EQ(rep.discarded.size(), 1u);
-  EXPECT_NE(rep.discarded[0].find("unsupported version 2"), std::string::npos)
-      << rep.discarded[0];
+    ExploreCheckpoint ck(cfg);
+    const auto rep = ck.load_latest();
+    EXPECT_EQ(rep.epoch, 0u) << "no epoch of another version is installed";
+    EXPECT_EQ(rep.outcomes, 0u);
+    ASSERT_EQ(rep.discarded.size(), 1u);
+    EXPECT_NE(rep.discarded[0].find("unsupported version " +
+                                    std::to_string(version)),
+              std::string::npos)
+        << rep.discarded[0];
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -212,7 +212,6 @@ TEST(DistProtocol, MessageRoundTrips) {
   dist::ItemMsg item;
   item.index = 7;
   item.base_nodes = 12345;
-  item.collect_completes = true;
   item.item.schedule = {0, 2, 1};
   item.item.naive_product = 6.0;
   item.item.naive_sum = 11.0;
@@ -227,7 +226,6 @@ TEST(DistProtocol, MessageRoundTrips) {
   const dist::ItemMsg item2 = dist::decode_item(dist::encode_item(item));
   EXPECT_EQ(item2.index, item.index);
   EXPECT_EQ(item2.base_nodes, item.base_nodes);
-  EXPECT_EQ(item2.collect_completes, item.collect_completes);
   EXPECT_EQ(item2.item.schedule, item.item.schedule);
   ASSERT_EQ(item2.item.path.size(), 1u);
   EXPECT_EQ(item2.item.path[0].proc, 2);
@@ -337,7 +335,6 @@ TEST(DecoderBounds, HugeCountsAreNamedErrorsNotAllocations) {
   put_u32(head, static_cast<std::uint32_t>(dist::MsgTag::kItem));
   put_u64(head, 0);  // index
   put_u64(head, 0);  // base_nodes
-  put_u32(head, 0);  // collect_completes
   put_schedule(head, {});
   EXPECT_THROW(dist::decode_item(with_huge_count(head)), std::runtime_error);
   put_u32(head, 0);  // empty path

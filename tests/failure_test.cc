@@ -550,7 +550,9 @@ TEST(CrashRecovery, CrashInvalidatesLlReservation) {
   }));
   sim.crash(0);
   sim.recover(0);
-  sim.run_to_termination(0, 1'000);
+  SoloScheduler solo(0);
+  sim.run(solo, 1'000);
+  ASSERT_TRUE(sim.all_terminated());
   // The recovered process issued SC with no LL in its post-recovery
   // history: the SC must fail and the variable must keep its value.
   EXPECT_EQ(mem->store().value(out), 0) << "SC succeeded without a fresh LL";

@@ -2,10 +2,6 @@
 // with a full-history run of the same deterministic schedule, and the
 // record-backed relations must refuse rather than lie. (The explorers with
 // the counters-only opt-in run in oracle_matrix_test.)
-//
-// A counters-only Simulation::run with no fork log and no listener takes
-// the fast step path (no StepRecord), so the full-vs-counters comparison
-// below is also the fast path's parity check against the recording path.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -128,8 +124,8 @@ TEST(HistoryMode, CountersMatchFullHistoryEveryAlgorithm) {
 
 TEST(HistoryMode, CountersMatchFullHistoryUnderCrashRecovery) {
   // The rmr: trigger reads the ledger between steps, so it fires at the
-  // same point in both modes only if the fast path charges the ledger per
-  // step. A batched ledger would crash late or never.
+  // same point in both modes only if every step charges the ledger as it
+  // is applied. A batched ledger would crash late or never.
   const auto crashy = [](HistoryMode mode) {
     MutexRunOptions opt;
     opt.nprocs = 3;

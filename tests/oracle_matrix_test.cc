@@ -127,7 +127,6 @@ class LoopbackExecutor : public DistItemExecutor {
       dist::ItemMsg msg;
       msg.index = idx;
       msg.base_nodes = committed_nodes();
-      msg.collect_completes = static_cast<bool>(options_.on_complete_schedule);
       msg.item.schedule = items[idx].schedule;
       msg.item.path = items[idx].path;
       msg.item.sleep = items[idx].sleep;
@@ -142,16 +141,10 @@ class LoopbackExecutor : public DistItemExecutor {
         got.item.root_snap = std::make_shared<const WorldSnapshot>(
             decode_world_snapshot(got.snapshot, *proto_));
       }
-      DporOptions opts = options_;
-      opts.on_complete_schedule =
-          got.collect_completes
-              ? std::function<void(const std::vector<ProcId>&)>(
-                    [](const std::vector<ProcId>&) {})
-              : nullptr;
       dist::OutcomeMsg out;
       out.index = got.index;
       out.result =
-          run_dist_item(build_, check_, opts, got.item, got.base_nodes);
+          run_dist_item(build_, check_, options_, got.item, got.base_nodes);
       dist::OutcomeMsg final_out =
           dist::decode_outcome(dist::encode_outcome(out));
       done(static_cast<std::size_t>(final_out.index),
@@ -381,6 +374,24 @@ TEST(DistExecutor, LoopbackMergesByteIdenticalToInProcess) {
 
 TEST(DistExecutor, LoopbackMatchesInReplayModeToo) {
   expect_loopback_agrees(SnapshotMode::kReplay);
+}
+
+TEST(DistExecutor, RefusesCompleteScheduleCallback) {
+  // Complete schedules never travel over the dist wire, so a search that
+  // asks for them must fail by name rather than silently collect nothing.
+  const ExploreWorld w = explore_corpus().front();
+  DporOptions opt = dpor_options(w);
+  LoopbackExecutor exec(w.build, w.check, opt);
+  opt.dist = &exec;
+  opt.on_complete_schedule = [](const std::vector<ProcId>&) {};
+  try {
+    explore_dpor(w.build, w.check, opt);
+    FAIL() << "explore_dpor accepted on_complete_schedule with a dist executor";
+  } catch (const std::logic_error& e) {
+    EXPECT_NE(std::string(e.what()).find("on_complete_schedule"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 // ---- counters-only history ------------------------------------------------

@@ -190,7 +190,9 @@ TEST(Simulation, RunUntilRmrPendingStopsBeforeTheRmr) {
   EXPECT_EQ(mem->ledger().rmrs(0), 0u);
   EXPECT_EQ(sim.pending(0).op.var, remote);
   // Finishing the process applies the RMR.
-  sim.run_to_termination(0, 100);
+  SoloScheduler solo(0);
+  sim.run(solo, 100);
+  ASSERT_TRUE(sim.all_terminated());
   EXPECT_EQ(mem->ledger().rmrs(0), 1u);
 }
 

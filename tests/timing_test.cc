@@ -4,6 +4,7 @@
 // delay under a Delta-scheduler, demonstrably broken otherwise.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <string>
 
@@ -56,6 +57,32 @@ TEST(Delay, RunLoopTicksThroughAllAsleepPhases) {
   EXPECT_TRUE(r.all_terminated);
   EXPECT_EQ(mem->store().value(v), 7);
   EXPECT_GE(sim.now(), 10u);
+}
+
+TEST(Delay, FairDriveSleeperRunsOutOfBudgetNotWedged) {
+  // p0 finishes in one step; p1 sleeps until t=50, then takes two steps
+  // (the delay completion and its write). Ticks count against fair_drive's
+  // budget, so the run needs exactly 1 + 49 ticks + 2 = 52 steps and ticks.
+  // Short of that, the sleeper is still runnable: kBudget, never kWedged.
+  auto drive = [](std::uint64_t budget) {
+    auto mem = make_dsm(2);
+    const VarId v = mem->allocate_global(0);
+    std::vector<Program> programs(2);
+    programs[0] = [v](ProcCtx& ctx) -> ProcTask { co_await ctx.write(v, 1); };
+    programs[1] = [v](ProcCtx& ctx) -> ProcTask {
+      co_await ctx.delay(50);
+      co_await ctx.write(v, 2);
+    };
+    Simulation sim(*mem, std::move(programs));
+    const DriveOutcome out = fair_drive(sim, budget);
+    EXPECT_TRUE(sim.terminated(0));
+    EXPECT_EQ(sim.now(), std::min<std::uint64_t>(budget, 52));
+    return out;
+  };
+  EXPECT_EQ(drive(10), DriveOutcome::kBudget);
+  EXPECT_EQ(drive(51), DriveOutcome::kBudget);
+  EXPECT_EQ(drive(52), DriveOutcome::kAllTerminated);
+  EXPECT_EQ(drive(1'000), DriveOutcome::kAllTerminated);
 }
 
 TEST(BoundedGap, NoReadyProcessStarvesPastDelta) {

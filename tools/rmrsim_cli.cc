@@ -693,7 +693,6 @@ int cmd_explore(const Args& a, const char* argv0) {
     pc.worker_argv = std::move(wargv);
     pc.fingerprint = fnv1a64(fp_src);
     pc.item_max_attempts = opt.item_max_attempts;
-    pc.collect_completes = static_cast<bool>(opt.on_complete_schedule);
     pool.emplace(std::move(pc));
     opt.dist = &*pool;
   }
@@ -792,8 +791,17 @@ int cmd_explore(const Args& a, const char* argv0) {
     t.add_row({"snapshot peak bytes",
                std::to_string(dpor.stats.snapshot_peak_bytes)});
   }
-  t.add_row({"verdict", dpor.violation ? "VIOLATED: " + *dpor.violation
-                                       : "no violation"});
+  // A clean search that cut schedules at the depth bound proves nothing
+  // past it, so the verdict says so (the exit code stays 0).
+  std::string verdict = "no violation";
+  if (dpor.violation) {
+    verdict = "VIOLATED: " + *dpor.violation;
+  } else if (dpor.truncated_schedules > 0) {
+    verdict = "clean within depth " + std::to_string(opt.max_depth) + ", " +
+              std::to_string(dpor.truncated_schedules) +
+              " truncated schedules";
+  }
+  t.add_row({"verdict", verdict});
 
   // The report is one deterministic string: printed to stdout and, with
   // --report FILE, atomically written for byte-comparison by the resume
