@@ -4,8 +4,10 @@
 #include <atomic>
 #include <chrono>
 #include <deque>
+#include <limits>
 #include <map>
 #include <mutex>
+#include <optional>
 #include <set>
 #include <stdexcept>
 #include <string>
@@ -13,7 +15,6 @@
 #include <utility>
 
 #include "common/check.h"
-#include "sched/schedulers.h"
 #include "verify/checkpoint.h"
 #include "verify/snapshot_cache.h"
 
@@ -124,13 +125,128 @@ struct Shared {
   std::atomic<std::uint64_t> item_retries{0};
 };
 
-bool charge_node(Shared& sh) {
-  const std::uint64_t n = sh.nodes.fetch_add(1, std::memory_order_relaxed);
-  if (n >= sh.max_nodes) {
+/// Commits `n` node charges to the shared budget; false (and budget_hit set)
+/// once the count passes max_nodes.
+bool charge(Shared& sh, std::uint64_t n) {
+  const std::uint64_t before = sh.nodes.fetch_add(n, std::memory_order_relaxed);
+  if (before + n > sh.max_nodes) {
     sh.budget_hit.store(true, std::memory_order_relaxed);
     return false;
   }
   return true;
+}
+
+/// A node of the reduced tree, trunk or item. The trunk keeps its nodes in
+/// a map keyed by schedule, so that races arriving from later rounds can
+/// still open branches near the root; an item keeps its nodes on its DFS
+/// stack.
+struct Node {
+  std::vector<ProcId> enabled;
+  std::vector<SleepEntry> sleep;
+  std::set<ProcId> backtrack;        ///< processes to expand from here
+  std::set<ProcId> done;             ///< processes expanded or pruned here
+  std::vector<SleepEntry> siblings;  ///< expanded processes, with footprints
+  double naive_product = 1.0;
+  double naive_sum = 1.0;
+  /// The executed path to the node. Trunk nodes own theirs; an item's
+  /// nodes share its DFS's one path vector and leave this empty.
+  std::vector<PathStep> path;
+};
+
+/// Adds `q` to the node's backtrack set; true if that is a new expansion.
+bool add_backtrack(Node& node, ProcId q) {
+  return !node.done.count(q) && node.backtrack.insert(q).second;
+}
+
+/// Marks `q` expanded at the node; false if it needs no expansion (already
+/// done, or asleep: its subtree is covered by an explored sibling).
+bool claim(Node& node, ProcId q, ItemOutcome& tally) {
+  if (!node.done.insert(q).second) return false;
+  if (asleep(node.sleep, q)) {
+    ++tally.sleep_prunes;
+    return false;
+  }
+  return true;
+}
+
+void tally_leaf(ItemOutcome& tally, double naive_sum) {
+  tally.estimate_sum += naive_sum;
+  ++tally.leaves;
+}
+
+/// Where a reached state goes: a leaf (tallied), a work-item root at the
+/// trunk boundary, or a node to expand.
+enum class Entry { kLeaf, kBoundary, kNode };
+
+/// Items have no boundary: their whole subtree is theirs.
+constexpr int kNoBoundary = std::numeric_limits<int>::max();
+
+/// Node entry, for the trunk and the items alike: classifies the state the
+/// search reached by `schedule` (world `sim`, violation already checked).
+/// `node` arrives with its sleep set and naive seeds. Complete, truncated
+/// and sleep-blocked states are leaves tallied into `tally`; the boundary
+/// test sits between the truncation and sleep-blocked tests; any other
+/// state gets its enabled set and its first awake process as backtrack seed.
+Entry enter_node(const Shared& sh, const Simulation& sim,
+                 const std::vector<ProcId>& schedule, int boundary, Node& node,
+                 ItemOutcome& tally) {
+  for (ProcId p = 0; p < sim.nprocs(); ++p) {
+    if (sim.runnable(p)) node.enabled.push_back(p);
+  }
+  const int depth = static_cast<int>(schedule.size());
+  if (node.enabled.empty()) {
+    ++tally.complete;
+    if (sh.collect_completes) tally.completes.push_back(schedule);
+    tally_leaf(tally, node.naive_sum);
+    return Entry::kLeaf;
+  }
+  if (depth >= sh.max_depth) {
+    ++tally.truncated;
+    tally_leaf(tally, node.naive_sum);
+    return Entry::kLeaf;
+  }
+  if (depth >= boundary) return Entry::kBoundary;
+  for (const ProcId p : node.enabled) {
+    if (!asleep(node.sleep, p)) {
+      node.backtrack.insert(p);
+      return Entry::kNode;
+    }
+  }
+  ++tally.sleep_blocked;
+  tally_leaf(tally, node.naive_sum);
+  return Entry::kLeaf;
+}
+
+/// Child expansion, for the trunk and the items alike: steps `q` from
+/// `node` on `sim` (the world at `schedule`), hands every earlier step the
+/// new one races with to `route_race(j, q)` (j indexes `path`), extends
+/// `schedule` and `path` by the step and enters the child into `child`. A
+/// violation makes the child a leaf.
+template <typename RouteRace>
+Entry expand(const Shared& sh, Node& node, ProcId q, Simulation& sim,
+             std::vector<ProcId>& schedule, std::vector<PathStep>& path,
+             int boundary, Node& child, ItemOutcome& tally,
+             const RouteRace& route_race) {
+  const MacroFootprint fp = sim.macro_step(q);
+  std::vector<std::size_t> races;
+  std::vector<std::int32_t> clock =
+      race_scan(path, q, fp, sim.nprocs(), &races);
+  for (const std::size_t j : races) route_race(j, q);
+
+  child.sleep = child_sleep(node.sleep, node.siblings, fp);
+  node.siblings.push_back({q, fp});
+  child.naive_product =
+      node.naive_product * static_cast<double>(node.enabled.size());
+  child.naive_sum = node.naive_sum + child.naive_product;
+  schedule.push_back(q);
+  path.push_back({q, fp, std::move(clock)});
+
+  if (const auto v = (*sh.check)(sim.history()); v.has_value()) {
+    tally.violations.push_back({schedule, *v});
+    tally_leaf(tally, child.naive_sum);
+    return Entry::kLeaf;
+  }
+  return enter_node(sh, sim, schedule, boundary, child, tally);
 }
 
 /// Stateless DFS over one item's subtree. Backtracking rebuilds the world
@@ -139,25 +255,15 @@ bool charge_node(Shared& sh) {
 /// targeting the trunk are emitted as externals.
 ///
 /// Node-budget charges accumulate in out.charged and are committed to the
-/// shared counter only by the retry wrapper, when the attempt succeeds —
+/// shared counter only with the item's outcome, when the attempt succeeds —
 /// an attempt that fails (ItemFailure) leaves the global count untouched,
 /// so the retried attempt re-executes an identical subtree and
 /// nodes_visited stays deterministic under any failure pattern.
-void run_item(Shared& sh, const WorkItem& item, ItemOutcome& out) {
-  struct Frame {
-    std::vector<ProcId> enabled;
-    std::vector<SleepEntry> sleep;
-    std::set<ProcId> backtrack;
-    std::set<ProcId> done;
-    std::vector<SleepEntry> siblings;
-    double naive_product = 1.0;
-    double naive_sum = 1.0;
-  };
-
+void run_item(const Shared& sh, const WorkItem& item, ItemOutcome& out) {
   std::vector<ProcId> schedule = item.schedule;
   std::vector<PathStep> path = item.path;
   const std::size_t root_depth = schedule.size();
-  std::vector<Frame> frames;
+  std::vector<Node> frames;
 
   // Private per-item cache, seeded with the shipped root snapshot: the
   // item's first rebuild is a pure restore, later ones restore the deepest
@@ -176,59 +282,30 @@ void run_item(Shared& sh, const WorkItem& item, ItemOutcome& out) {
                                               sh.counters_only, cache_ptr,
                                               &out.replay);
   bool sim_valid = true;
-  const int nprocs = inst.sim->nprocs();
 
-  // Classifies the just-reached state: records leaves (complete, truncated,
-  // sleep-blocked) and pushes a frame otherwise. The violation check for
-  // non-root states happens before this, right after the step executes.
-  const auto enter_node = [&](std::vector<SleepEntry> sleep, double product,
-                              double sum) -> bool {
-    Simulation& sim = *inst.sim;
-    Frame f;
-    f.sleep = std::move(sleep);
-    f.naive_product = product;
-    f.naive_sum = sum;
-    for (ProcId p = 0; p < sim.nprocs(); ++p) {
-      if (sim.runnable(p)) f.enabled.push_back(p);
+  const auto route_race = [&](std::size_t j, ProcId q) {
+    if (j >= root_depth) {
+      if (add_backtrack(frames[j - root_depth], q)) ++out.backtracks;
+    } else {
+      out.externals.push_back(
+          {std::vector<ProcId>(schedule.begin(),
+                               schedule.begin() +
+                                   static_cast<std::ptrdiff_t>(j)),
+           q});
     }
-    if (f.enabled.empty()) {
-      ++out.complete;
-      if (sh.collect_completes) out.completes.push_back(schedule);
-      out.estimate_sum += sum;
-      ++out.leaves;
-      return false;
-    }
-    if (static_cast<int>(schedule.size()) >= sh.max_depth) {
-      ++out.truncated;
-      out.estimate_sum += sum;
-      ++out.leaves;
-      return false;
-    }
-    ProcId seed = kNoProc;
-    for (const ProcId p : f.enabled) {
-      if (!asleep(f.sleep, p)) {
-        seed = p;
-        break;
-      }
-    }
-    if (seed == kNoProc) {
-      ++out.sleep_blocked;
-      out.estimate_sum += sum;
-      ++out.leaves;
-      return false;
-    }
-    f.backtrack.insert(seed);
-    frames.push_back(std::move(f));
-    return true;
   };
 
-  if (!enter_node(item.sleep, item.naive_product, item.naive_sum)) {
-    if (cache.has_value()) fold_cache_stats(*cache, out.replay);
-    return;
+  Node root;
+  root.sleep = item.sleep;
+  root.naive_product = item.naive_product;
+  root.naive_sum = item.naive_sum;
+  if (enter_node(sh, *inst.sim, schedule, kNoBoundary, root, out) ==
+      Entry::kNode) {
+    frames.push_back(std::move(root));
   }
 
   while (!frames.empty()) {
-    Frame& f = frames.back();
+    Node& f = frames.back();
     ProcId q = kNoProc;
     for (const ProcId c : f.backtrack) {
       if (!f.done.count(c)) {
@@ -245,18 +322,13 @@ void run_item(Shared& sh, const WorkItem& item, ItemOutcome& out) {
       sim_valid = false;
       continue;
     }
-    f.done.insert(q);
-    if (asleep(f.sleep, q)) {
-      ++out.sleep_prunes;
-      continue;
-    }
+    if (!claim(f, q, out)) continue;
     ++out.charged;
     if (sh.nodes.load(std::memory_order_relaxed) + out.charged >
         sh.max_nodes) {
       // Global budget: abandon the item (best effort, partial outcome).
       out.budget_hit = true;
-      if (cache.has_value()) fold_cache_stats(*cache, out.replay);
-      return;
+      break;
     }
     if (sh.item_node_limit > 0 && out.charged > sh.item_node_limit) {
       throw ItemFailure("work item exceeded its per-attempt step deadline (" +
@@ -267,52 +339,19 @@ void run_item(Shared& sh, const WorkItem& item, ItemOutcome& out) {
                                   sh.counters_only, cache_ptr, &out.replay);
       sim_valid = true;
     }
-    const MacroFootprint fp = inst.sim->macro_step(q);
-
-    std::vector<std::size_t> races;
-    std::vector<std::int32_t> clock = race_scan(path, q, fp, nprocs, &races);
-    for (const std::size_t j : races) {
-      if (j >= root_depth) {
-        Frame& tf = frames[j - root_depth];
-        if (!tf.done.count(q) && tf.backtrack.insert(q).second) {
-          ++out.backtracks;
-        }
-      } else {
-        out.externals.push_back(
-            {std::vector<ProcId>(schedule.begin(),
-                                 schedule.begin() +
-                                     static_cast<std::ptrdiff_t>(j)),
-             q});
-      }
-    }
-
-    std::vector<SleepEntry> sleep = child_sleep(f.sleep, f.siblings, fp);
-    f.siblings.push_back({q, fp});
-    const double product =
-        f.naive_product * static_cast<double>(f.enabled.size());
-    const double sum = f.naive_sum + product;
-
-    schedule.push_back(q);
-    path.push_back({q, fp, std::move(clock)});
-
-    if (const auto v = (*sh.check)(inst.sim->history()); v.has_value()) {
-      out.violations.push_back({schedule, *v});
-      out.estimate_sum += sum;
-      ++out.leaves;
+    Node child;
+    if (expand(sh, f, q, *inst.sim, schedule, path, kNoBoundary, child, out,
+               route_race) != Entry::kNode) {
       schedule.pop_back();
       path.pop_back();
       sim_valid = false;
       continue;
     }
-    if (!enter_node(std::move(sleep), product, sum)) {
-      schedule.pop_back();
-      path.pop_back();
-      sim_valid = false;
-    } else if (cache_ptr != nullptr &&
-               schedule.size() %
-                       static_cast<std::size_t>(sh.cache_config.stride) ==
-                   0 &&
-               !cache_ptr->contains(schedule)) {
+    frames.push_back(std::move(child));
+    if (cache_ptr != nullptr &&
+        schedule.size() % static_cast<std::size_t>(sh.cache_config.stride) ==
+            0 &&
+        !cache_ptr->contains(schedule)) {
       // Descent-time capture at stride-aligned depths: later backtracks into
       // this subtree restore here instead of replaying from the item root.
       if (cache_ptr->insert(schedule, take_snapshot(inst))) {
@@ -328,31 +367,33 @@ void run_item(Shared& sh, const WorkItem& item, ItemOutcome& out) {
 /// retried in the same slot with exponential backoff, up to item_max_attempts
 /// total attempts. Retrying in place rather than re-enqueueing preserves
 /// the pool's termination invariant (no new queue entries appear mid-round)
-/// while giving the same bounded-retry semantics. Node charges are
-/// committed only on success, so the merged results are independent of how
-/// many attempts any item needed. Returns false when the item is
-/// permanently failing; `quarantine_reason` then says why and `out` is left
-/// empty (the subtree contributed nothing).
-bool run_item_recovering(Shared& sh, const WorkItem& item, ItemOutcome& out,
-                         std::string* quarantine_reason) {
+/// while giving the same bounded-retry semantics. Commits nothing: the
+/// result carries the outcome (or the quarantine reason of a permanently
+/// failing item) and the attempt counts, and the caller commits it — the
+/// coordinator's commit for an in-process item, the wire for a worker
+/// process's.
+DistItemResult run_item_recovering(const Shared& sh, const WorkItem& item) {
+  DistItemResult r;
   for (int attempt = 1;; ++attempt) {
-    ItemOutcome attempt_out;
-    attempt_out.schedule = item.schedule;
+    ItemOutcome out;
+    out.schedule = item.schedule;
     try {
       if (sh.inject != nullptr && *sh.inject &&
           (*sh.inject)(item.schedule, attempt)) {
         throw ItemFailure("injected worker failure");
       }
-      run_item(sh, item, attempt_out);
+      run_item(sh, item, out);
+      r.ok = true;
+      r.outcome = std::move(out);
+      return r;
     } catch (const std::exception& e) {
-      sh.worker_failures.fetch_add(1, std::memory_order_relaxed);
+      ++r.worker_failures;
       if (attempt >= sh.item_max_attempts) {
-        *quarantine_reason = e.what();
-        out = ItemOutcome{};
-        out.schedule = item.schedule;
-        return false;
+        r.quarantine_reason =
+            *e.what() != '\0' ? e.what() : "worker process failed";
+        return r;
       }
-      sh.item_retries.fetch_add(1, std::memory_order_relaxed);
+      ++r.item_retries;
       if (sh.retry_backoff_ms > 0) {
         const std::uint64_t shift =
             std::min<std::uint64_t>(static_cast<std::uint64_t>(attempt - 1),
@@ -361,15 +402,7 @@ bool run_item_recovering(Shared& sh, const WorkItem& item, ItemOutcome& out,
             std::min<std::uint64_t>(sh.retry_backoff_ms << shift, 1000);
         std::this_thread::sleep_for(std::chrono::milliseconds(delay_ms));
       }
-      continue;
     }
-    out = std::move(attempt_out);
-    const std::uint64_t before =
-        sh.nodes.fetch_add(out.charged, std::memory_order_relaxed);
-    if (before + out.charged > sh.max_nodes) {
-      sh.budget_hit.store(true, std::memory_order_relaxed);
-    }
-    return true;
   }
 }
 
@@ -394,19 +427,6 @@ void init_shared(Shared& sh, const ExploreBuilder& build,
   sh.inject = options.inject_item_failure ? &options.inject_item_failure
                                           : nullptr;
 }
-
-/// A persistent node of the sequentially-owned trunk (depth < trunk_depth).
-/// Trunk nodes live across rounds so that race insertions arriving from
-/// deep items can still open new branches near the root.
-struct TrunkNode {
-  std::vector<PathStep> path;
-  std::vector<ProcId> enabled;
-  std::vector<SleepEntry> sleep;
-  std::set<ProcId> done;
-  std::vector<SleepEntry> siblings;
-  double naive_product = 1.0;
-  double naive_sum = 1.0;
-};
 
 }  // namespace
 
@@ -442,47 +462,41 @@ ExploreResult explore_dpor(const ExploreBuilder& build,
   const int trunk_depth =
       std::max(0, std::min(options.trunk_depth, options.max_depth));
 
-  std::map<std::vector<ProcId>, TrunkNode> trunk;
+  // The trunk: its nodes, and their pending expansions in the canonical
+  // (schedule, process) order the drain takes them in.
+  std::map<std::vector<ProcId>, Node> trunk;
   std::set<std::pair<std::vector<ProcId>, ProcId>> pending;
+  std::vector<WorkItem> items;  // this round's, in creation order
+  // The trunk's leaves, tallied as an item tallies its own and merged the
+  // same way, after each drain.
+  ItemOutcome trunk_tally;
   std::vector<Violation> violations;
   double estimate_sum = 0.0;
   std::uint64_t leaves = 0;
 
-  const auto emit_complete = [&](const std::vector<ProcId>& sched) {
-    ++result.complete_schedules;
-    if (options.on_complete_schedule) options.on_complete_schedule(sched);
+  // A race that targets trunk node `sched` — from a trunk step, or from an
+  // item through its outcome's externals.
+  const auto trunk_backtrack = [&](const std::vector<ProcId>& sched,
+                                   ProcId q) {
+    const auto it = trunk.find(sched);
+    ensure(it != trunk.end(), "dpor race targets unknown trunk node");
+    if (add_backtrack(it->second, q)) {
+      pending.insert({sched, q});
+      ++result.stats.backtrack_points;
+    }
   };
 
-  // Creates the trunk node / work item / leaf for a state just reached by
-  // replaying `sched` (its live simulation in `sim`; violation already
-  // checked by the caller). Returns a work item when the state sits at the
-  // trunk boundary.
-  std::vector<WorkItem> items;
-  const auto enter_trunk_state = [&](const std::vector<ProcId>& sched,
-                                     std::vector<PathStep> path,
-                                     std::vector<SleepEntry> sleep,
-                                     double product, double sum,
-                                     ExploreInstance& inst) {
-    Simulation& sim = *inst.sim;
-    std::vector<ProcId> enabled;
-    for (ProcId p = 0; p < sim.nprocs(); ++p) {
-      if (sim.runnable(p)) enabled.push_back(p);
-    }
-    if (enabled.empty()) {
-      emit_complete(sched);
-      estimate_sum += sum;
-      ++leaves;
-      return;
-    }
-    if (static_cast<int>(sched.size()) >= options.max_depth) {
-      ++result.truncated_schedules;
-      estimate_sum += sum;
-      ++leaves;
-      return;
-    }
-    if (static_cast<int>(sched.size()) >= trunk_depth) {
-      WorkItem item{sched, std::move(path), std::move(sleep), product, sum,
-                    nullptr};
+  // Places a trunk state once entered: a node into the trunk with its seed
+  // pending, a boundary state into this round's items.
+  const auto place = [&](std::vector<ProcId> sched, Node& node, Entry entry,
+                         const ExploreInstance& inst) {
+    if (entry == Entry::kNode) {
+      pending.insert({sched, *node.backtrack.begin()});
+      trunk.emplace(std::move(sched), std::move(node));
+    } else if (entry == Entry::kBoundary) {
+      WorkItem item{std::move(sched), std::move(node.path),
+                    std::move(node.sleep), node.naive_product,
+                    node.naive_sum, nullptr};
       if (sh.snapshots) {
         // Ship the root world with the item: whichever worker steals it
         // starts from a restore, not a trunk-prefix replay.
@@ -490,34 +504,39 @@ ExploreResult explore_dpor(const ExploreBuilder& build,
         ++result.stats.snapshots_taken;
       }
       items.push_back(std::move(item));
-      return;
     }
-    TrunkNode node;
-    node.path = std::move(path);
-    node.enabled = std::move(enabled);
-    node.sleep = std::move(sleep);
-    node.naive_product = product;
-    node.naive_sum = sum;
-    ProcId seed = kNoProc;
-    for (const ProcId p : node.enabled) {
-      if (!asleep(node.sleep, p)) {
-        seed = p;
-        break;
-      }
+  };
+
+  // Merges a tally — the trunk's after the root and after each drain, then
+  // the round's items' in item order — into the result.
+  const auto merge = [&](const ItemOutcome& out) {
+    result.complete_schedules += out.complete;
+    result.truncated_schedules += out.truncated;
+    result.stats.sleep_set_prunes += out.sleep_prunes;
+    result.stats.sleep_blocked_paths += out.sleep_blocked;
+    result.stats.backtrack_points += out.backtracks;
+    result.stats.replayed_steps += out.replay.replayed_steps;
+    result.stats.snapshot_hits += out.replay.snapshot_hits;
+    result.stats.snapshot_misses += out.replay.snapshot_misses;
+    result.stats.snapshots_taken += out.replay.snapshots_taken;
+    result.stats.snapshot_evictions += out.replay.snapshot_evictions;
+    result.stats.snapshot_delta_steps += out.replay.snapshot_delta_steps;
+    result.stats.snapshot_peak_bytes = std::max(
+        result.stats.snapshot_peak_bytes, out.replay.snapshot_peak_bytes);
+    estimate_sum += out.estimate_sum;
+    leaves += out.leaves;
+    for (const Violation& v : out.violations) violations.push_back(v);
+    if (options.on_complete_schedule) {
+      for (const auto& s : out.completes) options.on_complete_schedule(s);
     }
-    trunk.emplace(sched, std::move(node));
-    if (seed == kNoProc) {
-      ++result.stats.sleep_blocked_paths;
-      estimate_sum += sum;
-      ++leaves;
-    } else {
-      pending.insert({sched, seed});
+    for (const ExternalAdd& add : out.externals) {
+      trunk_backtrack(add.node_path, add.proc);
     }
   };
 
   // Root.
   {
-    if (!charge_node(sh)) {
+    if (!charge(sh, 1)) {
       result.exhausted = false;
       return result;
     }
@@ -529,14 +548,12 @@ ExploreResult explore_dpor(const ExploreBuilder& build,
       result.violation = v;
       return result;
     }
-    enter_trunk_state({}, {}, {}, 1.0, 1.0, root);
+    Node node;
+    const Entry entry =
+        enter_node(sh, *root.sim, {}, trunk_depth, node, trunk_tally);
+    place({}, node, entry, root);
+    merge(std::exchange(trunk_tally, {}));
   }
-
-  const int nprocs = [&] {
-    ExploreInstance probe = build();
-    ensure(probe.sim != nullptr, "explore builder returned no simulation");
-    return probe.sim->nprocs();
-  }();
 
   // Round fixpoint: drain trunk expansions in canonical order (spawning
   // items at the trunk boundary), run the items, integrate their external
@@ -551,55 +568,29 @@ ExploreResult explore_dpor(const ExploreBuilder& build,
       pending.erase(pending.begin());
       auto it = trunk.find(sched);
       ensure(it != trunk.end(), "dpor trunk expansion targets unknown node");
-      TrunkNode& node = it->second;
-      if (node.done.count(q)) continue;
-      node.done.insert(q);
-      if (asleep(node.sleep, q)) {
-        ++result.stats.sleep_set_prunes;
-        continue;
-      }
-      if (!charge_node(sh)) break;
+      Node& node = it->second;
+      if (!claim(node, q, trunk_tally)) continue;
+      if (!charge(sh, 1)) break;
 
       ExploreInstance inst =
           materialize_schedule(build, sched, ReplayUnit::kMacro,
                                sh.counters_only, trunk_cache_ptr,
                                &result.stats);
-      const MacroFootprint fp = inst.sim->macro_step(q);
-
-      std::vector<std::size_t> races;
-      std::vector<std::int32_t> clock =
-          race_scan(node.path, q, fp, nprocs, &races);
-      for (const std::size_t j : races) {
-        const std::vector<ProcId> target(
-            sched.begin(), sched.begin() + static_cast<std::ptrdiff_t>(j));
-        auto tit = trunk.find(target);
-        ensure(tit != trunk.end(), "dpor race targets unknown trunk node");
-        if (!tit->second.done.count(q) && pending.insert({target, q}).second) {
-          ++result.stats.backtrack_points;
-        }
-      }
-
-      std::vector<SleepEntry> sleep =
-          child_sleep(node.sleep, node.siblings, fp);
-      node.siblings.push_back({q, fp});
-      const double product =
-          node.naive_product * static_cast<double>(node.enabled.size());
-      const double sum = node.naive_sum + product;
-
       std::vector<ProcId> child_sched = sched;
-      child_sched.push_back(q);
-      std::vector<PathStep> child_path = node.path;
-      child_path.push_back({q, fp, std::move(clock)});
-
-      if (const auto v = check(inst.sim->history()); v.has_value()) {
-        violations.push_back({child_sched, *v});
-        estimate_sum += sum;
-        ++leaves;
-        continue;
-      }
-      enter_trunk_state(child_sched, std::move(child_path), std::move(sleep),
-                        product, sum, inst);
+      Node child;
+      child.path = node.path;
+      const Entry entry = expand(
+          sh, node, q, *inst.sim, child_sched, child.path, trunk_depth, child,
+          trunk_tally, [&](std::size_t j, ProcId p) {
+            trunk_backtrack(
+                std::vector<ProcId>(
+                    sched.begin(),
+                    sched.begin() + static_cast<std::ptrdiff_t>(j)),
+                p);
+          });
+      place(std::move(child_sched), child, entry, inst);
     }
+    merge(std::exchange(trunk_tally, {}));
 
     if (sh.budget_hit.load(std::memory_order_relaxed)) break;
     if (items.empty()) continue;  // new pending may have appeared; re-drain
@@ -624,11 +615,7 @@ ExploreResult explore_dpor(const ExploreBuilder& build,
         } else if (ck->lookup(items[i].schedule, &outcomes[i])) {
           resolved[i] = 1;
           ++result.stats.checkpoint_item_hits;
-          const std::uint64_t before = sh.nodes.fetch_add(
-              outcomes[i].charged, std::memory_order_relaxed);
-          if (before + outcomes[i].charged > sh.max_nodes) {
-            sh.budget_hit.store(true, std::memory_order_relaxed);
-          }
+          charge(sh, outcomes[i].charged);
         }
       }
     }
@@ -638,15 +625,30 @@ ExploreResult explore_dpor(const ExploreBuilder& build,
       if (!resolved[i]) live.push_back(i);
     }
 
-    const auto run_one = [&](std::size_t job) {
-      if (!run_item_recovering(sh, items[job], outcomes[job],
-                               &quarantine[job])) {
+    // The one commit of an executed item, wherever it ran (a pool thread
+    // or a dist executor, on the coordinator thread): the retry
+    // accounting, the quarantine or the node charges with the budget check
+    // against the authoritative counter, and the checkpoint record.
+    // Thread-safe: atomics, one slot per job, and the checkpoint's lock.
+    const auto commit = [&](std::size_t job, DistItemResult&& r) {
+      sh.worker_failures.fetch_add(r.worker_failures,
+                                   std::memory_order_relaxed);
+      sh.item_retries.fetch_add(r.item_retries, std::memory_order_relaxed);
+      if (!r.ok) {
+        quarantine[job] = std::move(r.quarantine_reason);
         if (ck != nullptr) {
           ck->record_quarantine(items[job].schedule, quarantine[job]);
         }
-      } else if (ck != nullptr && !outcomes[job].budget_hit) {
+        return;
+      }
+      outcomes[job] = std::move(r.outcome);
+      charge(sh, outcomes[job].charged);
+      if (ck != nullptr && !outcomes[job].budget_hit) {
         ck->record_outcome(outcomes[job]);
       }
+    };
+    const auto run_one = [&](std::size_t job) {
+      commit(job, run_item_recovering(sh, items[job]));
     };
 
     // Runs the live items: on the external (multi-process) executor when
@@ -658,36 +660,7 @@ ExploreResult explore_dpor(const ExploreBuilder& build,
         options.dist->run_round(
             items, jobs,
             [&sh] { return sh.nodes.load(std::memory_order_relaxed); },
-            [&](std::size_t job, DistItemResult&& r) {
-              // The coordinator-side half of run_item_recovering: commit
-              // the retry accounting, the node charges (with the budget
-              // check against the authoritative counter), and the
-              // checkpoint record.
-              sh.worker_failures.fetch_add(r.worker_failures,
-                                           std::memory_order_relaxed);
-              sh.item_retries.fetch_add(r.item_retries,
-                                        std::memory_order_relaxed);
-              if (!r.ok) {
-                quarantine[job] = r.quarantine_reason.empty()
-                                      ? std::string("worker process failed")
-                                      : std::move(r.quarantine_reason);
-                outcomes[job] = ItemOutcome{};
-                outcomes[job].schedule = items[job].schedule;
-                if (ck != nullptr) {
-                  ck->record_quarantine(items[job].schedule, quarantine[job]);
-                }
-                return;
-              }
-              outcomes[job] = std::move(r.outcome);
-              const std::uint64_t before = sh.nodes.fetch_add(
-                  outcomes[job].charged, std::memory_order_relaxed);
-              if (before + outcomes[job].charged > sh.max_nodes) {
-                sh.budget_hit.store(true, std::memory_order_relaxed);
-              }
-              if (ck != nullptr && !outcomes[job].budget_hit) {
-                ck->record_outcome(outcomes[job]);
-              }
-            });
+            commit);
         return;
       }
       const int workers = std::min<int>(std::max(1, options.workers),
@@ -746,34 +719,7 @@ ExploreResult explore_dpor(const ExploreBuilder& build,
             {items[i].schedule, quarantine[i]});
         continue;  // unexplored subtree: contributes nothing else
       }
-      const ItemOutcome& out = outcomes[i];
-      result.complete_schedules += out.complete;
-      result.truncated_schedules += out.truncated;
-      result.stats.sleep_set_prunes += out.sleep_prunes;
-      result.stats.sleep_blocked_paths += out.sleep_blocked;
-      result.stats.backtrack_points += out.backtracks;
-      result.stats.replayed_steps += out.replay.replayed_steps;
-      result.stats.snapshot_hits += out.replay.snapshot_hits;
-      result.stats.snapshot_misses += out.replay.snapshot_misses;
-      result.stats.snapshots_taken += out.replay.snapshots_taken;
-      result.stats.snapshot_evictions += out.replay.snapshot_evictions;
-      result.stats.snapshot_delta_steps += out.replay.snapshot_delta_steps;
-      result.stats.snapshot_peak_bytes = std::max(
-          result.stats.snapshot_peak_bytes, out.replay.snapshot_peak_bytes);
-      estimate_sum += out.estimate_sum;
-      leaves += out.leaves;
-      for (const Violation& v : out.violations) violations.push_back(v);
-      if (options.on_complete_schedule) {
-        for (const auto& s : out.completes) options.on_complete_schedule(s);
-      }
-      for (const ExternalAdd& add : out.externals) {
-        auto tit = trunk.find(add.node_path);
-        ensure(tit != trunk.end(), "dpor external add targets unknown node");
-        if (!tit->second.done.count(add.proc) &&
-            pending.insert({add.node_path, add.proc}).second) {
-          ++result.stats.backtrack_points;
-        }
-      }
+      merge(outcomes[i]);
     }
     items.clear();
     // Round barrier = checkpoint barrier: everything merged so far is
@@ -819,96 +765,7 @@ DistItemResult run_dist_item(const ExploreBuilder& build,
   // more permissive than the live in-process check — and agrees with it
   // exactly whenever the budget does not trip.
   sh.nodes.store(base_nodes, std::memory_order_relaxed);
-  DistItemResult res;
-  res.ok = run_item_recovering(sh, item, res.outcome, &res.quarantine_reason);
-  if (!res.ok && res.quarantine_reason.empty()) {
-    res.quarantine_reason = "worker process failed";
-  }
-  res.worker_failures = sh.worker_failures.load(std::memory_order_relaxed);
-  res.item_retries = sh.item_retries.load(std::memory_order_relaxed);
-  return res;
-}
-
-CrashProductResult sweep_crash_product(const ExploreBuilder& build,
-                                       const ExploreChecker& check,
-                                       ProcId victim,
-                                       const CrashProductOptions& options) {
-  CrashProductResult result;
-
-  // Enumerate complete schedules with the reduced exploration, keeping the
-  // lexicographically least max_schedules of them as crash bases.
-  std::set<std::vector<ProcId>> bases;
-  DporOptions ex = options.explore;
-  ex.on_complete_schedule = [&](const std::vector<ProcId>& s) {
-    bases.insert(s);
-    if (static_cast<int>(bases.size()) > options.max_schedules) {
-      bases.erase(std::prev(bases.end()));
-    }
-  };
-  const ExploreResult er = explore_dpor(build, check, ex);
-  if (er.violation.has_value()) {
-    result.schedule_violation = er.violation;
-    result.violating_schedule = er.violating_schedule;
-    return result;
-  }
-
-  // One cache across every base: lex-ordered bases share long prefixes, and
-  // within a base successive cuts extend each other — in snapshot mode each
-  // rebuild is a short delta replay. Only pre-crash worlds are cached; the
-  // crash and everything after it run on the materialized instance.
-  std::optional<SnapshotCache> cache;
-  if (options.explore.snapshot_mode == SnapshotMode::kSnapshot) {
-    cache.emplace(
-        SnapshotCache::Config{std::max(1, options.explore.snapshot_stride),
-                              options.explore.snapshot_max_bytes});
-  }
-  SnapshotCache* cache_ptr = cache.has_value() ? &*cache : nullptr;
-  const auto finish = [&] {
-    if (cache.has_value()) fold_cache_stats(*cache, result.sweep.stats);
-  };
-
-  for (const std::vector<ProcId>& sched : bases) {
-    ++result.schedules_swept;
-    // Crash before the victim's first step, then after each of its steps.
-    std::vector<std::size_t> points{0};
-    for (std::size_t i = 0; i < sched.size(); ++i) {
-      if (sched[i] == victim) points.push_back(i + 1);
-    }
-    for (const std::size_t cut : points) {
-      if (result.sweep.crash_points >= options.max_crash_points) {
-        finish();
-        return result;
-      }
-      ExploreInstance inst = materialize_schedule(
-          build,
-          std::vector<ProcId>(sched.begin(),
-                              sched.begin() +
-                                  static_cast<std::ptrdiff_t>(cut)),
-          ReplayUnit::kMacro, /*counters_only=*/false, cache_ptr,
-          &result.sweep.stats);
-      Simulation& sim = *inst.sim;
-      if (sim.terminated(victim)) continue;  // nothing left to crash
-      ++result.sweep.crash_points;
-      sim.crash(victim);
-      fair_drive(sim, options.recover_after);
-      if (options.recover_victim) sim.recover(victim);
-      const DriveOutcome done = fair_drive(sim, options.max_steps);
-      if (const auto v = check(sim.history()); v.has_value()) {
-        result.sweep.violation = v;
-        result.sweep.violating_crash_point = static_cast<int>(cut);
-        result.violating_schedule = sched;
-        finish();
-        return result;
-      }
-      switch (done) {
-        case DriveOutcome::kAllTerminated: ++result.sweep.completed; break;
-        case DriveOutcome::kBudget: ++result.sweep.stuck; break;
-        case DriveOutcome::kWedged: ++result.sweep.wedged; break;
-      }
-    }
-  }
-  finish();
-  return result;
+  return run_item_recovering(sh, item);
 }
 
 }  // namespace rmrsim

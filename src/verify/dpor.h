@@ -15,20 +15,28 @@
 //   Completeness — backtrack points are inserted at every race discovered
 //                 between executed macro steps (persistent-set style, with
 //                 a conservative "add all enabled" fallback when the racing
-//                 process took intermediate steps), so every equivalence
-//                 class of schedules within the depth bound has an explored
-//                 representative. Sleep sets only skip transitions whose
-//                 subtree is provably covered by an already-explored
-//                 sibling. Checkers must be phrased over memory-op records
-//                 and observable-event order (see observable_event());
-//                 checkers that key on the positions of process-local
-//                 bookkeeping events can distinguish members of a class
-//                 and are outside the reduction's contract. Completeness
-//                 is bounded: a clean verdict proves the instance only
-//                 when truncated_schedules == 0. A truncated schedule was
+//                 process took intermediate steps), aiming at an explored
+//                 representative for every equivalence class of schedules
+//                 within the depth bound. That aim is not met yet: on the
+//                 oracle corpus row late_flag_2w2p_d12 (`dpor_misses` in
+//                 tests/explore_fixtures.h) the naive explorer finds a
+//                 violation at depth 12 that this search reports clean,
+//                 plausibly because a race with a step past the bound is
+//                 never seen (ROADMAP, DPOR completeness). Sleep sets only
+//                 skip transitions whose subtree is provably covered by an
+//                 already-explored sibling. Checkers must be phrased over
+//                 memory-op records and observable-event order (see
+//                 observable_event()); checkers that key on the positions
+//                 of process-local bookkeeping events can distinguish
+//                 members of a class and are outside the reduction's
+//                 contract. Completeness is bounded: a clean verdict
+//                 proves the instance only when the search is exhausted
+//                 and truncated_schedules == 0. A truncated schedule was
 //                 cut at max_depth with processes still running, so what
 //                 follows the cut was never checked (`explore` then
-//                 reports "clean within depth D, N truncated schedules").
+//                 reports "clean within depth D, N truncated schedules");
+//                 a search stopped by max_nodes or quarantined items
+//                 reports "no violation found, search incomplete".
 //
 // Two macro steps are dependent iff they touch the same variable with at
 // least one mutation, or both flush observable events
@@ -45,6 +53,11 @@
 // subtrees hanging off trunk leaves become self-contained work items
 // executed by a work-stealing pool, and race insertions that target trunk
 // nodes are drained at round barriers in canonical (path, process) order.
+// The trunk and the items run one node engine — node entry, child
+// expansion, leaf tallies — and differ only in where nodes live (the trunk's
+// map and pending set, an item's DFS stack), where a race's backtrack point
+// goes, and how the node budget is charged (live for the trunk, item-local
+// until the item's outcome commits).
 // The set of explored nodes — and therefore the verdict, the violating
 // schedule, and every statistic — is a function of the instance and the
 // options alone, not of thread timing, whenever the search completes
@@ -95,7 +108,9 @@ struct DporWorkItem {
   std::shared_ptr<const WorldSnapshot> root_snap;
 };
 
-/// Result of executing one work item out-of-process.
+/// Result of executing one work item, in-process or out-of-process. The
+/// coordinator commits it (retry counts, quarantine, node charges,
+/// checkpoint record) the same way wherever the item ran.
 struct DistItemResult {
   bool ok = false;                 ///< false => the item is quarantined
   std::string quarantine_reason;   ///< non-empty when !ok
@@ -232,14 +247,9 @@ struct CrashProductOptions {
   DporOptions explore;
   /// Lex-least complete schedules to sweep crash points along.
   int max_schedules = 32;
-  /// Fair steps between the injected crash and the victim's recovery.
-  std::uint64_t recover_after = 20;
-  /// Step budget for driving each crashed run to completion.
-  std::uint64_t max_steps = 200'000;
-  /// Safety valve on the total number of crash points tried.
-  int max_crash_points = 10'000;
-  /// See CrashSweepOptions::recover_victim.
-  bool recover_victim = true;
+  /// The crash half: the same per-crash-point options sweep_crash_points
+  /// takes (recovery, step budget, crash-point cap, snapshot cache).
+  CrashSweepOptions sweep;
 };
 
 struct CrashProductResult {

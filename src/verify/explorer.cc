@@ -1,9 +1,12 @@
 #include "verify/explorer.h"
 
+#include <algorithm>
 #include <optional>
+#include <set>
 
 #include "common/check.h"
 #include "sched/schedulers.h"
+#include "verify/dpor.h"
 #include "verify/snapshot_cache.h"
 
 namespace rmrsim {
@@ -79,6 +82,74 @@ struct NaiveDfs {
   }
 };
 
+/// The crash-point loop of both crash sweeps. For each base in order, and
+/// along it for every crash point of `victim` — before its first step, then
+/// after each of its steps — rebuilds the pre-crash world by replaying the
+/// base's prefix in `unit`s, crashes the victim, runs `recover_after` fair
+/// steps, recovers it (optionally), drives the run to completion and checks
+/// the final history, tallying into `result`. Stops at the first violation
+/// or at max_crash_points. Returns the number of bases it started; after a
+/// violation the last of them is the violating base.
+int sweep_crash_bases(const ExploreBuilder& build, const ExploreChecker& check,
+                      ProcId victim,
+                      const std::vector<std::vector<ProcId>>& bases,
+                      ReplayUnit unit, const CrashSweepOptions& options,
+                      CrashSweepResult& result) {
+  // Successive cuts extend each other along one base, and lex-ordered bases
+  // share long prefixes, so in snapshot mode each rebuild restores an
+  // earlier cut's world and replays only the delta. Only pre-crash worlds
+  // are cached; the crash and everything after it run on the materialized
+  // instance.
+  std::optional<SnapshotCache> cache;
+  if (options.snapshot_mode == SnapshotMode::kSnapshot) {
+    cache.emplace(SnapshotCache::Config{std::max(1, options.snapshot_stride),
+                                        options.snapshot_max_bytes});
+  }
+  SnapshotCache* cache_ptr = cache.has_value() ? &*cache : nullptr;
+
+  // Sweeps one base; false once the sweep must stop.
+  const auto sweep_base = [&](const std::vector<ProcId>& base) {
+    std::vector<std::size_t> points{0};
+    for (std::size_t i = 0; i < base.size(); ++i) {
+      if (base[i] == victim) points.push_back(i + 1);
+    }
+    for (const std::size_t cut : points) {
+      if (result.crash_points >= options.max_crash_points) return false;
+      ExploreInstance instance = materialize_schedule(
+          build,
+          std::vector<ProcId>(base.begin(),
+                              base.begin() + static_cast<std::ptrdiff_t>(cut)),
+          unit, /*counters_only=*/false, cache_ptr, &result.stats);
+      Simulation& sim = *instance.sim;
+      if (sim.terminated(victim)) continue;  // nothing left to crash
+      ++result.crash_points;
+      sim.crash(victim);
+      fair_drive(sim, options.recover_after);
+      if (options.recover_victim) sim.recover(victim);
+      const DriveOutcome done = fair_drive(sim, options.max_steps);
+      if (const auto v = check(sim.history()); v.has_value()) {
+        result.violation = v;
+        result.violating_crash_point = static_cast<int>(cut);
+        return false;
+      }
+      switch (done) {
+        case DriveOutcome::kAllTerminated: ++result.completed; break;
+        case DriveOutcome::kBudget: ++result.stuck; break;
+        case DriveOutcome::kWedged: ++result.wedged; break;
+      }
+    }
+    return true;
+  };
+
+  int started = 0;
+  for (const std::vector<ProcId>& base : bases) {
+    ++started;
+    if (!sweep_base(base)) break;
+  }
+  if (cache.has_value()) fold_cache_stats(*cache, result.stats);
+  return started;
+}
+
 }  // namespace
 
 ExploreResult explore_all_schedules(const ExploreBuilder& build,
@@ -108,62 +179,52 @@ CrashSweepResult sweep_crash_points(const ExploreBuilder& build,
                                     const ExploreChecker& check,
                                     ProcId victim,
                                     const CrashSweepOptions& options) {
-  CrashSweepResult result;
-  std::optional<SnapshotCache> cache;
-  if (options.snapshot_mode == SnapshotMode::kSnapshot) {
-    cache.emplace(SnapshotCache::Config{options.snapshot_stride,
-                                        options.snapshot_max_bytes});
-  }
-  SnapshotCache* cache_ptr = cache.has_value() ? &*cache : nullptr;
-
   // Baseline crash-free run: its schedule enumerates the victim's steps,
   // each of which is a crash point to try.
-  std::vector<ProcId> baseline;
+  std::vector<std::vector<ProcId>> baseline;
   {
     ExploreInstance base = build();
     ensure(base.sim != nullptr, "sweep builder returned no simulation");
     fair_drive(*base.sim, options.max_steps);
-    baseline = base.sim->schedule();
+    baseline.push_back(base.sim->schedule());
+  }
+  CrashSweepResult result;
+  sweep_crash_bases(build, check, victim, baseline, ReplayUnit::kStep,
+                    options, result);
+  return result;
+}
+
+CrashProductResult sweep_crash_product(const ExploreBuilder& build,
+                                       const ExploreChecker& check,
+                                       ProcId victim,
+                                       const CrashProductOptions& options) {
+  CrashProductResult result;
+
+  // Enumerate complete schedules with the reduced exploration, keeping the
+  // lexicographically least max_schedules of them as crash bases.
+  std::set<std::vector<ProcId>> bases;
+  DporOptions ex = options.explore;
+  ex.on_complete_schedule = [&](const std::vector<ProcId>& s) {
+    bases.insert(s);
+    if (static_cast<int>(bases.size()) > options.max_schedules) {
+      bases.erase(std::prev(bases.end()));
+    }
+  };
+  const ExploreResult er = explore_dpor(build, check, ex);
+  if (er.violation.has_value()) {
+    result.schedule_violation = er.violation;
+    result.violating_schedule = er.violating_schedule;
+    return result;
   }
 
-  // Crash before the victim's first step, then after each of its steps.
-  std::vector<std::size_t> points{0};
-  for (std::size_t i = 0; i < baseline.size(); ++i) {
-    if (baseline[i] == victim) points.push_back(i + 1);
+  const std::vector<std::vector<ProcId>> swept(bases.begin(), bases.end());
+  result.schedules_swept =
+      sweep_crash_bases(build, check, victim, swept, ReplayUnit::kMacro,
+                        options.sweep, result.sweep);
+  if (result.sweep.violation.has_value()) {
+    result.violating_schedule =
+        swept[static_cast<std::size_t>(result.schedules_swept - 1)];
   }
-
-  for (const std::size_t cut : points) {
-    if (result.crash_points >= options.max_crash_points) break;
-    // Successive cuts extend each other along the one baseline, so in
-    // snapshot mode each rebuild restores the previous cut's world and
-    // replays only the delta. Only the pre-crash world is ever cached; the
-    // crash and everything after it run on the materialized instance.
-    const std::vector<ProcId> cut_schedule(
-        baseline.begin(), baseline.begin() + static_cast<std::ptrdiff_t>(cut));
-    ExploreInstance instance =
-        materialize_schedule(build, cut_schedule, ReplayUnit::kStep,
-                             /*counters_only=*/false, cache_ptr,
-                             &result.stats);
-    ensure(instance.sim != nullptr, "sweep builder returned no simulation");
-    Simulation& sim = *instance.sim;
-    if (sim.terminated(victim)) continue;  // nothing left to crash
-    ++result.crash_points;
-    sim.crash(victim);
-    fair_drive(sim, options.recover_after);
-    if (options.recover_victim) sim.recover(victim);
-    const DriveOutcome done = fair_drive(sim, options.max_steps);
-    if (const auto v = check(sim.history()); v.has_value()) {
-      result.violation = v;
-      result.violating_crash_point = static_cast<int>(cut);
-      break;
-    }
-    switch (done) {
-      case DriveOutcome::kAllTerminated: ++result.completed; break;
-      case DriveOutcome::kBudget: ++result.stuck; break;
-      case DriveOutcome::kWedged: ++result.wedged; break;
-    }
-  }
-  if (cache.has_value()) fold_cache_stats(*cache, result.stats);
   return result;
 }
 

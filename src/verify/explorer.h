@@ -8,10 +8,11 @@
 //
 // The explorer enumerates schedules depth-first. Because rmrsim executions
 // are deterministic functions of the schedule (the property the lower-bound
-// adversary also rests on), each tree node is reconstructed by replaying
-// its schedule prefix on a fresh instance — no state snapshotting, no undo.
-// Cost is O(nodes x depth) simulated steps, which is fine for the 2-3
-// process, few-call configurations where exhaustiveness pays.
+// adversary also rests on), a tree node is a schedule prefix, and its world
+// is rebuilt from it: by default (SnapshotMode::kSnapshot) by restoring the
+// deepest cached snapshot of an ancestor and replaying only the rest of the
+// prefix, or (kReplay, the oracle) by replaying the whole prefix on a fresh
+// instance, at O(nodes x depth) simulated steps. No undo either way.
 #pragma once
 
 #include <cstdint>

@@ -13,6 +13,8 @@
 //                   snapshot mode; clean small rows also in counters-only
 //                   history in both modes.
 //   DPOR workers    workers 1, 2 and 4, on clean and on violating rows.
+//   trunk depths    trunk depth 0 (one work item), 2, 6 and the row's depth
+//                   (all trunk), at workers 2: same verdict and witness.
 //   DPOR modes      replay mode at workers 1 and 2 against snapshot mode.
 //   loopback        the loopback executor (the dist wire codec and
 //                   run_dist_item in-process) against the in-process
@@ -330,6 +332,36 @@ TEST(ExplorerEquivalence, WorkersAgreeOnViolatingConfig) {
   expect_workers_agree(true);
 }
 
+// ---- DPOR trunk depths ------------------------------------------------------
+
+TEST(ExplorerEquivalence, TrunkDepthsAgree) {
+  // The trunk and the work items run one node engine, so where the search
+  // splits between them must not change what it finds. Node counts may
+  // differ: the trunk expands in canonical order round by round, an item
+  // depth-first, and the sleep sets that prune depend on that order.
+  for (const ExploreWorld& w : explore_corpus()) {
+    SCOPED_TRACE(w.name);
+    DporOptions opt = dpor_options(w);
+    opt.workers = 2;
+    opt.trunk_depth = 0;  // the whole search is one work item
+    const ExploreResult item = explore_dpor(w.build, w.check, opt);
+    ASSERT_TRUE(item.exhausted);
+    EXPECT_EQ(item.violation.has_value(), dpor_violates(w))
+        << item.violation.value_or("clean");
+    expect_cut(w, item);
+    // At the row's depth the whole search is trunk.
+    for (const int trunk : {2, 6, w.depth}) {
+      SCOPED_TRACE("trunk_depth=" + std::to_string(trunk));
+      opt.trunk_depth = trunk;
+      const ExploreResult r = explore_dpor(w.build, w.check, opt);
+      EXPECT_EQ(r.exhausted, item.exhausted);
+      EXPECT_EQ(r.violation, item.violation);
+      EXPECT_EQ(r.violating_schedule, item.violating_schedule);
+      expect_cut(w, r);
+    }
+  }
+}
+
 // ---- DPOR modes -------------------------------------------------------------
 
 TEST(SnapshotParity, DporVerdictsMatchAcrossModesAndWorkers) {
@@ -445,10 +477,13 @@ TEST(SnapshotParity, CrashProductMatchesAcrossModes) {
     opt.explore = dpor_options(w);
     opt.max_schedules = 8;
     opt.explore.snapshot_mode = SnapshotMode::kReplay;
+    opt.sweep.snapshot_mode = SnapshotMode::kReplay;
     const CrashProductResult replay =
         sweep_crash_product(w.build, w.check, 0, opt);
     opt.explore.snapshot_mode = SnapshotMode::kSnapshot;
     opt.explore.snapshot_stride = 4;
+    opt.sweep.snapshot_mode = SnapshotMode::kSnapshot;
+    opt.sweep.snapshot_stride = 4;
     const CrashProductResult snap =
         sweep_crash_product(w.build, w.check, 0, opt);
 

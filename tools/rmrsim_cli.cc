@@ -767,11 +767,10 @@ int cmd_explore(const Args& a, const char* argv0) {
   t.add_row({"nodes visited", std::to_string(dpor.nodes_visited)});
   t.add_row({"complete schedules", std::to_string(dpor.complete_schedules)});
   t.add_row({"truncated schedules", std::to_string(dpor.truncated_schedules)});
-  t.add_row({"exhausted",
-             dpor.exhausted ? "yes"
-                            : (dpor.quarantined_items.empty()
-                                   ? "NO (max-nodes hit)"
-                                   : "NO (items quarantined)")});
+  const std::string stopped = dpor.quarantined_items.empty()
+                                  ? "max-nodes hit"
+                                  : "items quarantined";
+  t.add_row({"exhausted", dpor.exhausted ? "yes" : "NO (" + stopped + ")"});
   t.add_row({"sleep-set prunes", std::to_string(dpor.stats.sleep_set_prunes)});
   t.add_row({"backtrack points", std::to_string(dpor.stats.backtrack_points)});
   t.add_row({"replayed sim steps", std::to_string(dpor.stats.replayed_steps)});
@@ -791,11 +790,14 @@ int cmd_explore(const Args& a, const char* argv0) {
     t.add_row({"snapshot peak bytes",
                std::to_string(dpor.stats.snapshot_peak_bytes)});
   }
-  // A clean search that cut schedules at the depth bound proves nothing
-  // past it, so the verdict says so (the exit code stays 0).
+  // A clean search proves nothing past what it searched, so the verdict of
+  // a search that stopped early, or that cut schedules at the depth bound,
+  // says so (the exit code stays 0).
   std::string verdict = "no violation";
   if (dpor.violation) {
     verdict = "VIOLATED: " + *dpor.violation;
+  } else if (!dpor.exhausted) {
+    verdict = "no violation found, search incomplete (" + stopped + ")";
   } else if (dpor.truncated_schedules > 0) {
     verdict = "clean within depth " + std::to_string(opt.max_depth) + ", " +
               std::to_string(dpor.truncated_schedules) +
@@ -843,8 +845,10 @@ void usage() {
       "            [--protocols all|mesi,mesif,moesi,dragon]\n"
       "            [--write-buffer N]  (per-proc store buffer in front of\n"
       "                       the protocols; N entries, TSO drain order)\n"
+      "            [--cycle-cost ...]  (protocol cycle costs, as for trace)\n"
       "  mutex     --lock L --model M --procs N --passages K --seed S\n"
-      "            [--protocols ...] [--write-buffer N]  (as for signal)\n"
+      "            [--protocols ...] [--write-buffer N] [--cycle-cost ...]\n"
+      "                       (as for signal)\n"
       "            L: mcs|ya|anderson|ticket|tas|clh|bakery|peterson|\n"
       "               recoverable\n"
       "            [--fault-plan step:proc=P,n=N[,recover=R]\n"
@@ -895,6 +899,8 @@ void usage() {
       "                       first-touch]  (address -> (var, home) policy)\n"
       "            [--cycle-cost fetch=F,transfer=T,signal=S,update=U,\n"
       "                       writeback=W]  (override protocol cycle costs)\n"
+      "            [--legacy-counters]  (also tally the legacy bus,\n"
+      "                       ideal and coarse message counters)\n"
       "            [--emit FILE [--binary] [--no-replay]]  (save the trace)\n"
       "            [--workers W] [--out DIR] [--deterministic]\n"
       "            [--golden FILE]  (byte-compare BENCH_t1_*.json, exit 3)\n"
