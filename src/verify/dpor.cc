@@ -143,7 +143,10 @@ bool charge(Shared& sh, std::uint64_t n) {
 struct Node {
   std::vector<ProcId> enabled;
   std::vector<SleepEntry> sleep;
-  std::set<ProcId> backtrack;        ///< processes to expand from here
+  /// Processes to expand from here. Node entry puts the seed here; an
+  /// item node keeps its expansions here, a trunk node in the trunk's
+  /// `pending` set.
+  std::set<ProcId> backtrack;
   std::set<ProcId> done;             ///< processes expanded or pruned here
   std::vector<SleepEntry> siblings;  ///< expanded processes, with footprints
   double naive_product = 1.0;
@@ -152,11 +155,6 @@ struct Node {
   /// nodes share its DFS's one path vector and leave this empty.
   std::vector<PathStep> path;
 };
-
-/// Adds `q` to the node's backtrack set; true if that is a new expansion.
-bool add_backtrack(Node& node, ProcId q) {
-  return !node.done.count(q) && node.backtrack.insert(q).second;
-}
 
 /// Marks `q` expanded at the node; false if it needs no expansion (already
 /// done, or asleep: its subtree is covered by an explored sibling).
@@ -285,7 +283,10 @@ void run_item(const Shared& sh, const WorkItem& item, ItemOutcome& out) {
 
   const auto route_race = [&](std::size_t j, ProcId q) {
     if (j >= root_depth) {
-      if (add_backtrack(frames[j - root_depth], q)) ++out.backtracks;
+      Node& target = frames[j - root_depth];
+      if (!target.done.count(q) && target.backtrack.insert(q).second) {
+        ++out.backtracks;
+      }
     } else {
       out.externals.push_back(
           {std::vector<ProcId>(schedule.begin(),
@@ -389,8 +390,7 @@ DistItemResult run_item_recovering(const Shared& sh, const WorkItem& item) {
     } catch (const std::exception& e) {
       ++r.worker_failures;
       if (attempt >= sh.item_max_attempts) {
-        r.quarantine_reason =
-            *e.what() != '\0' ? e.what() : "worker process failed";
+        r.quarantine_reason = e.what();
         return r;
       }
       ++r.item_retries;
@@ -480,8 +480,7 @@ ExploreResult explore_dpor(const ExploreBuilder& build,
                                    ProcId q) {
     const auto it = trunk.find(sched);
     ensure(it != trunk.end(), "dpor race targets unknown trunk node");
-    if (add_backtrack(it->second, q)) {
-      pending.insert({sched, q});
+    if (!it->second.done.count(q) && pending.insert({sched, q}).second) {
       ++result.stats.backtrack_points;
     }
   };
@@ -491,7 +490,10 @@ ExploreResult explore_dpor(const ExploreBuilder& build,
   const auto place = [&](std::vector<ProcId> sched, Node& node, Entry entry,
                          const ExploreInstance& inst) {
     if (entry == Entry::kNode) {
+      // The seed joins `pending`, where all of a trunk node's expansions
+      // wait; trunk nodes keep no backtrack set.
       pending.insert({sched, *node.backtrack.begin()});
+      node.backtrack.clear();
       trunk.emplace(std::move(sched), std::move(node));
     } else if (entry == Entry::kBoundary) {
       WorkItem item{std::move(sched), std::move(node.path),
@@ -635,7 +637,12 @@ ExploreResult explore_dpor(const ExploreBuilder& build,
                                    std::memory_order_relaxed);
       sh.item_retries.fetch_add(r.item_retries, std::memory_order_relaxed);
       if (!r.ok) {
-        quarantine[job] = std::move(r.quarantine_reason);
+        // A failure without a reason (an exception with an empty message,
+        // or any executor's result) must still quarantine: an empty slot
+        // reads as healthy below.
+        quarantine[job] = r.quarantine_reason.empty()
+                              ? std::string("worker process failed")
+                              : std::move(r.quarantine_reason);
         if (ck != nullptr) {
           ck->record_quarantine(items[job].schedule, quarantine[job]);
         }

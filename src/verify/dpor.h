@@ -113,7 +113,9 @@ struct DporWorkItem {
 /// checkpoint record) the same way wherever the item ran.
 struct DistItemResult {
   bool ok = false;                 ///< false => the item is quarantined
-  std::string quarantine_reason;   ///< non-empty when !ok
+  /// Why, when !ok; the coordinator reads an empty one as "worker process
+  /// failed".
+  std::string quarantine_reason;
   ItemOutcome outcome;             ///< valid when ok
   std::uint64_t worker_failures = 0;  ///< attempts that died or timed out
   std::uint64_t item_retries = 0;     ///< failed attempts that were re-run
@@ -242,14 +244,13 @@ DistItemResult run_dist_item(const ExploreBuilder& build,
 ExploreInstance replay_macro_schedule(const ExploreBuilder& build,
                                       const std::vector<ProcId>& schedule);
 
-struct CrashProductOptions {
+/// The crash half runs each crash point as sweep_crash_points does; its
+/// snapshot cache follows `explore`'s snapshot settings.
+struct CrashProductOptions : CrashPointOptions {
   /// Bounds for the schedule-exploration half of the product.
   DporOptions explore;
   /// Lex-least complete schedules to sweep crash points along.
   int max_schedules = 32;
-  /// The crash half: the same per-crash-point options sweep_crash_points
-  /// takes (recovery, step budget, crash-point cap, snapshot cache).
-  CrashSweepOptions sweep;
 };
 
 struct CrashProductResult {

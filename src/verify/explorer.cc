@@ -217,10 +217,14 @@ CrashProductResult sweep_crash_product(const ExploreBuilder& build,
     return result;
   }
 
+  // The crash half caches pre-crash worlds as the explore half is told to.
+  const CrashSweepOptions sweep{options, options.explore.snapshot_mode,
+                                options.explore.snapshot_stride,
+                                options.explore.snapshot_max_bytes};
   const std::vector<std::vector<ProcId>> swept(bases.begin(), bases.end());
   result.schedules_swept =
       sweep_crash_bases(build, check, victim, swept, ReplayUnit::kMacro,
-                        options.sweep, result.sweep);
+                        sweep, result.sweep);
   if (result.sweep.violation.has_value()) {
     result.violating_schedule =
         swept[static_cast<std::size_t>(result.schedules_swept - 1)];

@@ -152,7 +152,9 @@ ExploreResult explore_all_schedules(const ExploreBuilder& build,
                                     const ExploreChecker& check,
                                     const ExploreOptions& options = {});
 
-struct CrashSweepOptions {
+/// How each crash point of a sweep runs; shared by sweep_crash_points and
+/// sweep_crash_product.
+struct CrashPointOptions {
   /// Fair steps between the injected crash and the victim's recovery.
   std::uint64_t recover_after = 20;
   /// Step budget for driving each crashed run to completion; runs that
@@ -164,6 +166,9 @@ struct CrashSweepOptions {
   /// false the victim stays crashed forever — the crash-stop model — and
   /// runs whose survivors wait on it end up wedged, not budget-exhausted.
   bool recover_victim = true;
+};
+
+struct CrashSweepOptions : CrashPointOptions {
   /// Prefix reconstruction strategy for the per-crash-point replays (the
   /// same semantics as ExploreOptions::snapshot_mode; pre-crash worlds
   /// only, post-crash execution is never cached).

@@ -360,7 +360,7 @@ TEST(CrashRecovery, CrashStopSweepSeparatesWedgedFromStuck) {
   const auto check = mutual_exclusion_checker();
   const CrashSweepResult sweep = sweep_crash_points(
       build, check, 0,
-      {.recover_after = 20, .max_steps = 20'000, .recover_victim = false});
+      {{.recover_after = 20, .max_steps = 20'000, .recover_victim = false}});
   EXPECT_FALSE(sweep.violation.has_value()) << *sweep.violation;
   EXPECT_GT(sweep.crash_points, 0);
   EXPECT_EQ(sweep.completed, 0) << "the victim can never terminate";
@@ -380,7 +380,7 @@ TEST(CrashRecovery, BudgetExhaustionIsStuckNotWedged) {
   const auto check = mutual_exclusion_checker();
   const CrashSweepResult sweep = sweep_crash_points(
       build, check, 0,
-      {.recover_after = 10, .max_steps = 40, .recover_victim = true});
+      {{.recover_after = 10, .max_steps = 40, .recover_victim = true}});
   EXPECT_GT(sweep.crash_points, 0);
   EXPECT_GT(sweep.stuck, 0) << "40 steps cannot finish 3x2 passages";
   EXPECT_EQ(sweep.wedged, 0) << "a recovered world is never wedged";

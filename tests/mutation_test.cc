@@ -328,8 +328,8 @@ CrashProductOptions slot_product_options() {
   o.max_schedules = 1024;
   // Recover the victim immediately: its (broken) recovery section then runs
   // concurrently with whatever the survivors were mid-flight on.
-  o.sweep.recover_after = 0;
-  o.sweep.max_steps = 100'000;
+  o.recover_after = 0;
+  o.max_steps = 100'000;
   return o;
 }
 

@@ -18,7 +18,8 @@
 //   DPOR modes      replay mode at workers 1 and 2 against snapshot mode.
 //   loopback        the loopback executor (the dist wire codec and
 //                   run_dist_item in-process) against the in-process
-//                   search, in both snapshot modes.
+//                   search, in both snapshot modes; an executor's failed
+//                   result without a reason still quarantines its item.
 //   counters-only   DPOR in counters-only history against full history.
 //   crash / shrink  tagged rows: the crash-point sweep, the crash x schedule
 //                   product and the shrinker in both snapshot modes.
@@ -27,6 +28,7 @@
 // is one corpus row; it gets every pair.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <functional>
 #include <iterator>
 #include <memory>
@@ -426,6 +428,44 @@ TEST(DistExecutor, RefusesCompleteScheduleCallback) {
   }
 }
 
+TEST(DistExecutor, FailureWithoutReasonIsQuarantined) {
+  // A result can arrive failed and without a reason (the wire decodes any
+  // string, and any executor may send one). It must still quarantine its
+  // item: merged as an empty healthy outcome, the item's subtree would go
+  // missing from a search that still claims to be exhausted.
+  class ReasonlessFailures : public DistItemExecutor {
+   public:
+    void run_round(
+        const std::vector<DporWorkItem>&, const std::vector<std::size_t>& live,
+        const std::function<std::uint64_t()>&,
+        const std::function<void(std::size_t, DistItemResult&&)>& done)
+        override {
+      for (const std::size_t idx : live) {
+        dist::OutcomeMsg out;
+        out.index = idx;
+        out.result.ok = false;  // and no quarantine_reason
+        dist::OutcomeMsg got = dist::decode_outcome(dist::encode_outcome(out));
+        done(static_cast<std::size_t>(got.index), std::move(got.result));
+      }
+    }
+  };
+  // A clean row: its search runs work items.
+  const std::vector<ExploreWorld> corpus = explore_corpus();
+  const auto w = std::find_if(corpus.begin(), corpus.end(),
+                              [](const ExploreWorld& x) { return !x.violates; });
+  ASSERT_NE(w, corpus.end());
+  SCOPED_TRACE(w->name);
+  ReasonlessFailures exec;
+  DporOptions opt = dpor_options(*w);
+  opt.dist = &exec;
+  const ExploreResult r = explore_dpor(w->build, w->check, opt);
+  EXPECT_FALSE(r.exhausted);
+  ASSERT_FALSE(r.quarantined_items.empty());
+  for (const auto& q : r.quarantined_items) {
+    EXPECT_EQ(q.reason, "worker process failed");
+  }
+}
+
 // ---- counters-only history ------------------------------------------------
 
 TEST(HistoryMode, DporVerdictIdenticalWithCountersOnly) {
@@ -477,13 +517,10 @@ TEST(SnapshotParity, CrashProductMatchesAcrossModes) {
     opt.explore = dpor_options(w);
     opt.max_schedules = 8;
     opt.explore.snapshot_mode = SnapshotMode::kReplay;
-    opt.sweep.snapshot_mode = SnapshotMode::kReplay;
     const CrashProductResult replay =
         sweep_crash_product(w.build, w.check, 0, opt);
     opt.explore.snapshot_mode = SnapshotMode::kSnapshot;
     opt.explore.snapshot_stride = 4;
-    opt.sweep.snapshot_mode = SnapshotMode::kSnapshot;
-    opt.sweep.snapshot_stride = 4;
     const CrashProductResult snap =
         sweep_crash_product(w.build, w.check, 0, opt);
 
