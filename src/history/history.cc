@@ -58,7 +58,48 @@ void History::set_mode(HistoryMode mode) {
 
 const std::vector<StepRecord>& History::records() const {
   require_full("records()");
+  compact();
   return records_;
+}
+
+void History::compact() const {
+  if (tombstones_ == 0) return;
+  std::erase_if(records_, [](const StepRecord& r) { return r.index < 0; });
+  tombstones_ = 0;
+  for (auto& ps : index_.positions) ps.clear();
+  for (std::size_t i = 0; i < records_.size(); ++i) {
+    records_[i].index = static_cast<std::int64_t>(i);
+    index_.positions[static_cast<std::size_t>(records_[i].proc)].push_back(
+        static_cast<std::uint32_t>(i));
+  }
+}
+
+void History::ErasureIndex::add(const StepRecord& r, std::uint32_t position) {
+  const auto grow = [](auto& lanes, std::size_t i) -> auto& {
+    if (i >= lanes.size()) lanes.resize(i + 1);
+    return lanes[i];
+  };
+  grow(positions, static_cast<std::size_t>(r.proc)).push_back(position);
+  if (r.kind != StepRecord::Kind::kMemOp) return;
+  const ProcId q = r.outcome.prev_writer;
+  if (reads_value(r.op.type) && q != kNoProc && q != r.proc) {
+    ++grow(seen_by, static_cast<std::size_t>(q));
+  }
+  if (r.outcome.nontrivial) {
+    grow(overwrites, static_cast<std::size_t>(r.op.var))
+        .push_back({r.proc, written_value(r)});
+  }
+}
+
+const History::ErasureIndex& History::index() const {
+  if (!index_.built) {
+    // Tombstones exist only once the index does, so records_ is compact.
+    index_.built = true;
+    for (std::size_t i = 0; i < records_.size(); ++i) {
+      index_.add(records_[i], static_cast<std::uint32_t>(i));
+    }
+  }
+  return index_;
 }
 
 History::ProcCounters& History::counters_for(ProcId p) {
@@ -88,24 +129,20 @@ void History::fold_into_counters(const StepRecord& r) {
 }
 
 const StepRecord& History::append(StepRecord record) {
+  // Numbered among the live records: the tombstones before it are dropped
+  // by the next compaction.
   record.index = static_cast<std::int64_t>(size_);
   fold_into_counters(record);
   if (mode_ == HistoryMode::kFull) {
     records_.push_back(std::move(record));
+    if (index_.built) [[unlikely]] {
+      index_.add(records_.back(),
+                 static_cast<std::uint32_t>(records_.size() - 1));
+    }
     return records_.back();
   }
   scratch_ = std::move(record);
   return scratch_;
-}
-
-void History::rebuild_counters() {
-  per_proc_.clear();
-  size_ = 0;
-  total_rmrs_ = 0;
-  crash_events_ = 0;
-  recovery_events_ = 0;
-  saw_ll_sc_ = false;
-  for (const StepRecord& r : records_) fold_into_counters(r);
 }
 
 std::vector<ProcId> History::participants() const {
@@ -144,6 +181,7 @@ std::vector<ProcId> History::active() const {
 
 bool History::sees(ProcId p, ProcId q) const {
   require_full("sees()");
+  compact();
   return std::any_of(records_.begin(), records_.end(), [&](const StepRecord& r) {
     return r.proc == p && r.kind == StepRecord::Kind::kMemOp &&
            reads_value(r.op.type) && r.outcome.prev_writer == q;
@@ -152,14 +190,14 @@ bool History::sees(ProcId p, ProcId q) const {
 
 bool History::seen_by_other(ProcId q) const {
   require_full("seen_by_other()");
-  return std::any_of(records_.begin(), records_.end(), [&](const StepRecord& r) {
-    return r.proc != q && r.kind == StepRecord::Kind::kMemOp &&
-           reads_value(r.op.type) && r.outcome.prev_writer == q;
-  });
+  const std::vector<std::uint64_t>& seen = index().seen_by;
+  const auto idx = static_cast<std::size_t>(q);
+  return idx < seen.size() && seen[idx] > 0;
 }
 
 bool History::touches(ProcId p, ProcId q) const {
   require_full("touches()");
+  compact();
   return std::any_of(records_.begin(), records_.end(), [&](const StepRecord& r) {
     return r.proc == p && r.kind == StepRecord::Kind::kMemOp && r.var_home == q;
   });
@@ -167,6 +205,7 @@ bool History::touches(ProcId p, ProcId q) const {
 
 bool History::touched_by_other(ProcId q) const {
   require_full("touched_by_other()");
+  compact();
   return std::any_of(records_.begin(), records_.end(), [&](const StepRecord& r) {
     return r.proc != q && r.kind == StepRecord::Kind::kMemOp && r.var_home == q;
   });
@@ -174,6 +213,7 @@ bool History::touched_by_other(ProcId q) const {
 
 bool History::is_regular() const {
   require_full("is_regular()");
+  compact();
   // Conditions 1 and 2 of Definition 6.6, quantified over *participants*
   // (a non-participant owning a touched module is outside the definition).
   for (const StepRecord& r : records_) {
@@ -218,19 +258,53 @@ std::uint64_t History::mem_steps(ProcId p) const {
 
 void History::remove_proc(ProcId p) {
   require_full("remove_proc()");
-  std::erase_if(records_, [p](const StepRecord& r) { return r.proc == p; });
-  for (std::size_t i = 0; i < records_.size(); ++i) {
-    records_[i].index = static_cast<std::int64_t>(i);
+  ensure(!saw_ll_sc_, "remove_proc() does not support LL/SC histories");
+  const auto idx = static_cast<std::size_t>(p);
+  if (idx >= per_proc_.size() || per_proc_[idx].steps == 0) return;
+  index();
+  std::vector<VarId> written;
+  for (const std::uint32_t pos : index_.positions[idx]) {
+    StepRecord& r = records_[pos];
+    if (r.kind == StepRecord::Kind::kMemOp) {
+      const ProcId q = r.outcome.prev_writer;
+      if (reads_value(r.op.type) && q != kNoProc && q != p) {
+        --index_.seen_by[static_cast<std::size_t>(q)];
+      }
+      if (r.outcome.nontrivial) written.push_back(r.op.var);
+    } else if (r.event == EventKind::kCrash) {
+      --crash_events_;
+    } else if (r.event == EventKind::kRecover) {
+      --recovery_events_;
+    }
+    r.index = -1;  // tombstone, dropped by compact()
   }
-  rebuild_counters();
+  tombstones_ += index_.positions[idx].size();
+  index_.positions[idx].clear();
+  std::sort(written.begin(), written.end());
+  written.erase(std::unique(written.begin(), written.end()), written.end());
+  for (const VarId v : written) {
+    std::erase_if(index_.overwrites[static_cast<std::size_t>(v)],
+                  [p](const Overwrite& w) { return w.writer == p; });
+  }
+  // Subtract p's counters; drop the trailing entries of processes with no
+  // step left, as counting the remaining records afresh would.
+  size_ -= per_proc_[idx].steps;
+  total_rmrs_ -= per_proc_[idx].rmrs;
+  per_proc_[idx] = ProcCounters{};
+  while (!per_proc_.empty() && per_proc_.back().steps == 0) {
+    per_proc_.pop_back();
+  }
 }
 
 std::vector<VarId> History::vars_written_by(ProcId p) const {
   require_full("vars_written_by()");
+  const ErasureIndex& ix = index();
   std::vector<VarId> out;
-  for (const StepRecord& r : records_) {
-    if (r.proc == p && r.kind == StepRecord::Kind::kMemOp &&
-        r.outcome.nontrivial &&
+  const auto idx = static_cast<std::size_t>(p);
+  if (idx >= ix.positions.size()) return out;
+  for (const std::uint32_t pos : ix.positions[idx]) {
+    const StepRecord& r = records_[pos];
+    if (r.kind == StepRecord::Kind::kMemOp && r.outcome.nontrivial &&
         std::find(out.begin(), out.end(), r.op.var) == out.end()) {
       out.push_back(r.op.var);
     }
@@ -238,26 +312,15 @@ std::vector<VarId> History::vars_written_by(ProcId p) const {
   return out;
 }
 
-ProcId History::last_writer(VarId v) const {
-  require_full("last_writer()");
-  ProcId w = kNoProc;
-  for (const StepRecord& r : records_) {
-    if (r.kind == StepRecord::Kind::kMemOp && r.op.var == v &&
-        r.outcome.nontrivial) {
-      w = r.proc;
-    }
-  }
-  return w;
-}
-
 std::vector<ProcId> History::writers_of(VarId v) const {
   require_full("writers_of()");
+  const ErasureIndex& ix = index();
   std::vector<ProcId> out;
-  for (const StepRecord& r : records_) {
-    if (r.kind == StepRecord::Kind::kMemOp && r.op.var == v &&
-        r.outcome.nontrivial &&
-        std::find(out.begin(), out.end(), r.proc) == out.end()) {
-      out.push_back(r.proc);
+  const auto idx = static_cast<std::size_t>(v);
+  if (idx >= ix.overwrites.size()) return out;
+  for (const Overwrite& w : ix.overwrites[idx]) {
+    if (std::find(out.begin(), out.end(), w.writer) == out.end()) {
+      out.push_back(w.writer);
     }
   }
   return out;
@@ -266,20 +329,21 @@ std::vector<ProcId> History::writers_of(VarId v) const {
 std::optional<std::pair<Word, ProcId>> History::last_write_excluding(
     VarId v, ProcId exclude) const {
   require_full("last_write_excluding()");
-  std::optional<std::pair<Word, ProcId>> out;
-  for (const StepRecord& r : records_) {
-    if (r.kind == StepRecord::Kind::kMemOp && r.op.var == v &&
-        r.outcome.nontrivial && r.proc != exclude) {
-      out = {written_value(r), r.proc};
-    }
+  const ErasureIndex& ix = index();
+  const auto idx = static_cast<std::size_t>(v);
+  if (idx >= ix.overwrites.size()) return std::nullopt;
+  const std::vector<Overwrite>& ws = ix.overwrites[idx];
+  for (auto it = ws.rbegin(); it != ws.rend(); ++it) {
+    if (it->writer != exclude) return std::pair{it->value, it->writer};
   }
-  return out;
+  return std::nullopt;
 }
 
 bool History::uses_ll_sc() const { return saw_ll_sc_; }
 
 bool History::module_written(ProcId p) const {
   require_full("module_written()");
+  compact();
   return std::any_of(records_.begin(), records_.end(), [p](const StepRecord& r) {
     return r.kind == StepRecord::Kind::kMemOp && r.outcome.nontrivial &&
            r.var_home == p;
@@ -324,6 +388,7 @@ void History::encode(std::string& out) const {
   put_u32(out, static_cast<std::uint32_t>(mode_));
   encode_counters(out);
   if (mode_ == HistoryMode::kFull) {
+    compact();
     put_u32(out, static_cast<std::uint32_t>(records_.size()));
     for (const StepRecord& r : records_) {
       put_u64(out, static_cast<std::uint64_t>(r.index));
@@ -369,6 +434,8 @@ void History::decode(ByteReader& r) {
   recovery_events_ = r.u64();
   saw_ll_sc_ = r.u32() != 0;
   records_.clear();
+  tombstones_ = 0;
+  index_ = ErasureIndex{};
   if (mode_ == HistoryMode::kFull) {
     const std::uint32_t n = r.u32();
     r.need(std::size_t{88} * n);
@@ -398,6 +465,7 @@ void History::decode(ByteReader& r) {
 
 std::string History::to_string() const {
   require_full("to_string()");
+  compact();
   std::string out;
   for (const StepRecord& r : records_) {
     out += r.to_string();

@@ -17,6 +17,16 @@
 // The counters are maintained in *both* modes and produce values identical to
 // the record scans they replace, so switching the counter-backed queries over
 // is invisible to results.
+//
+// Erasure support (Lemma 6.7) is answered from an index that is built from
+// the records on the first erasure query and kept current by append() from
+// then on; runs that never erase never build it. remove_proc() subtracts
+// the erased process's counters and tombstones its records; the tombstones
+// are compacted away (and the survivors renumbered) by the next read of the
+// records, so a chase of many erasures pays for one compaction. Both are
+// lazily materialized caches of the records: neither is part of the wire
+// encoding, and a History is not safe to query from two threads while an
+// erasure is pending or its index is unbuilt (DESIGN.md, "Erasure").
 #pragma once
 
 #include <cstdint>
@@ -38,9 +48,10 @@ enum class HistoryMode {
 class History {
  public:
   /// Records one step and returns a reference to the recorded form (stable
-  /// until the next append). In counters-only mode the record is folded into
-  /// the counters and the returned reference points at an internal scratch
-  /// slot instead of a stored record.
+  /// until the next append or the next read of the records after an
+  /// erasure). In counters-only mode the record is folded into the counters
+  /// and the returned reference points at an internal scratch slot instead
+  /// of a stored record.
   const StepRecord& append(StepRecord record);
 
   /// Recording mode control. Switching modes is only allowed while empty —
@@ -74,7 +85,8 @@ class History {
   /// last written by q. Self-sees (p == q) are reported too; callers filter.
   bool sees(ProcId p, ProcId q) const;
 
-  /// True iff any process other than q sees q — Lemma 6.7's erasability test.
+  /// True iff any process other than q sees q — Lemma 6.7's erasability
+  /// test. O(1) from the erasure index.
   bool seen_by_other(ProcId q) const;
 
   /// Definition 6.5: p touches q iff p accesses a variable homed at q.
@@ -103,18 +115,19 @@ class History {
   std::string to_string() const;
 
   // ---- erasure support (Lemma 6.7) ----------------------------------
+  //
+  // Answered from the erasure index (built on the first of these calls).
+  // The last writer of a variable is not asked here: the memory store keeps
+  // it in O(1) (MemoryStore::last_writer).
 
-  /// Drops every record of `p`, renumbers the remaining records, and
-  /// rebuilds the aggregate counters from what is left. Sound exactly when
-  /// p was invisible (!seen_by_other(p)); callers check. Requires kFull.
+  /// Drops every record of `p` and subtracts its counters, in O(records of
+  /// p); the remaining records are renumbered by the next read of the
+  /// records. Sound exactly when p was invisible (!seen_by_other(p));
+  /// callers check. Requires kFull and a history without LL/SC.
   void remove_proc(ProcId p);
 
-  /// Variables `p` overwrote at least once.
+  /// Variables `p` overwrote at least once, in first-write order.
   std::vector<VarId> vars_written_by(ProcId p) const;
-
-  /// Last process that overwrote `v` according to the records (kNoProc if
-  /// never written).
-  ProcId last_writer(VarId v) const;
 
   /// Distinct processes that overwrote `v`, in first-write order.
   std::vector<ProcId> writers_of(VarId v) const;
@@ -159,14 +172,40 @@ class History {
     bool finished = false;
   };
 
+  /// One overwrite of a variable: who wrote it and the value it stored.
+  struct Overwrite {
+    ProcId writer = kNoProc;
+    Word value = 0;
+  };
+
+  /// The erasure index: a cache of the records, never encoded.
+  struct ErasureIndex {
+    bool built = false;
+    /// Per process: positions of its records in records_, ascending.
+    std::vector<std::vector<std::uint32_t>> positions;
+    /// Per variable: every overwrite of it, in record order.
+    std::vector<std::vector<Overwrite>> overwrites;
+    /// Per process: reads by other processes that returned its write.
+    std::vector<std::uint64_t> seen_by;
+
+    void add(const StepRecord& r, std::uint32_t position);
+  };
+
   void require_full(const char* what) const;
   ProcCounters& counters_for(ProcId p);
   void fold_into_counters(const StepRecord& r);
-  void rebuild_counters();
+  /// Builds the erasure index from the records if it is not built yet.
+  const ErasureIndex& index() const;
+  /// Drops the records remove_proc() tombstoned and renumbers the rest.
+  void compact() const;
 
   HistoryMode mode_ = HistoryMode::kFull;
-  std::vector<StepRecord> records_;  // empty in counters-only mode
-  StepRecord scratch_;               // append()'s return slot when not storing
+  // Empty in counters-only mode. Mutable for compact(): a const read of the
+  // records first drops the tombstones remove_proc() left (index < 0).
+  mutable std::vector<StepRecord> records_;
+  mutable std::size_t tombstones_ = 0;
+  mutable ErasureIndex index_;
+  StepRecord scratch_;  // append()'s return slot when not storing
 
   // Aggregates, maintained in both modes (indexed by ProcId, grown lazily).
   std::vector<ProcCounters> per_proc_;

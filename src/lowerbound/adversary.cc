@@ -136,6 +136,7 @@ void SignalingAdversary::erase(ProcId p) {
   sim_->erase_process(p);
   stability_[static_cast<std::size_t>(p)] = Stability::kUnknown;
   ++erased_count_;
+  if (config_.after_erase) config_.after_erase(*sim_);
 }
 
 int SignalingAdversary::clear_targets(ProcId p) {
@@ -151,7 +152,7 @@ int SignalingAdversary::clear_targets(ProcId p) {
       continue;
     }
     if (reads_value(a.op.type)) {
-      const ProcId writer = sim_->history().last_writer(v);
+      const ProcId writer = mem_->store().last_writer(v);
       if (writer != p && writer != kNoProc && is_active(writer)) {
         erase(writer);
         ++erased;
@@ -231,7 +232,7 @@ bool SignalingAdversary::part1_strict(AdversaryReport& report) {
           edges.emplace_back(idx[p], idx[home]);
         }
         if (reads_value(op.type)) {
-          const ProcId writer = sim_->history().last_writer(op.var);
+          const ProcId writer = mem_->store().last_writer(op.var);
           if (writer != p && writer != kNoProc && idx.count(writer) != 0) {
             edges.emplace_back(idx[p], idx[writer]);
           }

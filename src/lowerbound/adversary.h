@@ -67,6 +67,9 @@ struct AdversaryConfig {
   int unstable_extension_rounds = 8;  ///< Lemma 6.11 branch: extra RMR rounds
   /// Memory factory: defaults to make_dsm(nprocs). kStrict requires DSM.
   std::function<std::unique_ptr<SharedMemory>(int)> make_memory;
+  /// Observer called with the simulation after every erasure (tests check
+  /// the erasure index against the record scans there). Optional.
+  std::function<void(const Simulation&)> after_erase;
 };
 
 struct RoundStats {
@@ -135,6 +138,9 @@ class SignalingAdversary {
 
   /// Runs the full construction and returns the measured report.
   AdversaryReport run();
+
+  /// The simulated world (the rebuilt one after an out-of-scope fallback).
+  const Simulation& simulation() const { return *sim_; }
 
  private:
   enum class Mode { kPollForever, kFinish, kSignalThenFinish, kIdle };

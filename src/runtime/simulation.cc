@@ -212,7 +212,7 @@ void Simulation::crash(ProcId p) {
   // dies with the crash, so a post-recovery SC must fail until a fresh LL.
   memory_->store().clear_reservations(p);
   fault_trace_.push_back(
-      {FaultRecord::Kind::kCrash, p, schedule_.size()});
+      {FaultRecord::Kind::kCrash, p, schedule().size()});
   StepRecord rec;
   rec.proc = p;
   rec.kind = StepRecord::Kind::kEvent;
@@ -231,7 +231,7 @@ void Simulation::recover(ProcId p) {
   pr.crashed = false;
   ++pr.recoveries;
   fault_trace_.push_back(
-      {FaultRecord::Kind::kRecover, p, schedule_.size()});
+      {FaultRecord::Kind::kRecover, p, schedule().size()});
   StepRecord rec;
   rec.proc = p;
   rec.kind = StepRecord::Kind::kEvent;
@@ -245,10 +245,10 @@ void Simulation::recover(ProcId p) {
 
 void Simulation::erase_process(ProcId p) {
   Proc& pr = proc(p);
-  ensure(!pr.crashed,
-         "cannot erase a crashed process (its crash record would survive in "
-         "the history and the fault trace; Lemma 6.7 erases live invisible "
-         "processes only)");
+  ensure(pr.crashes == 0,
+         "cannot erase a process that crashed, even if it recovered (its "
+         "crash record would survive in the fault trace; Lemma 6.7 erases "
+         "live invisible processes only)");
   ensure(!pr.finished, "cannot erase a finished process (Lemma 6.7 erases "
                        "active processes only)");
   ensure(memory_->model().pricing_is_stateless(),
@@ -263,22 +263,24 @@ void Simulation::erase_process(ProcId p) {
   // last value written by someone else, or its initial value. Because p was
   // never seen, no other process's recorded step depended on these values,
   // so the reverted state matches the p-free replay exactly.
+  MemoryStore& store = memory_->store();
   for (const VarId v : history_.vars_written_by(p)) {
-    if (history_.last_writer(v) == p) {
+    if (store.last_writer(v) == p) {
       const auto prev = history_.last_write_excluding(v, p);
       if (prev.has_value()) {
-        memory_->store().poke(v, prev->first, prev->second);
+        store.poke(v, prev->first, prev->second);
       } else {
-        memory_->store().poke(v, memory_->store().initial(v), kNoProc);
+        store.poke(v, store.initial(v), kNoProc);
       }
     }
-    memory_->store().forget_writer(v, p);
+    store.forget_writer(v, p);
   }
 
   history_.remove_proc(p);
   memory_->ledger().forget(p);
-  memory_->store().clear_reservations(p);
-  std::erase(schedule_, p);
+  // No store.clear_reservations(p): only an LL makes a reservation, and the
+  // history has none (checked above).
+  schedule_has_erased_ = true;  // p's entries go at the next read
   pr.task = ProcTask{};
   pr.log.clear();  // erased: no frame to rebuild on restore
   pr.finished = true;
@@ -287,8 +289,16 @@ void Simulation::erase_process(ProcId p) {
   pr.ctx->mark_finished();
 }
 
+void Simulation::compact_schedule() const {
+  // An erased process never steps again, so every entry it owns goes.
+  std::erase_if(schedule_, [this](ProcId q) {
+    return q != kNoProc && procs_[static_cast<std::size_t>(q)].erased;
+  });
+  schedule_has_erased_ = false;
+}
+
 void Simulation::enable_fork_log() {
-  ensure(schedule_.empty() && history_.empty() && fault_trace_.empty(),
+  ensure(schedule().empty() && history_.empty() && fault_trace_.empty(),
          "enable_fork_log() must be called before the first step");
   fork_log_ = true;
 }
@@ -303,7 +313,7 @@ WorldSnapshot Simulation::snapshot() const {
   s.ledger = memory_->ledger();
   s.now = now_;
   s.history = history_;
-  s.schedule = schedule_;
+  s.schedule = schedule();
   s.fault_trace = fault_trace_;
   s.procs.reserve(procs_.size());
   for (const Proc& pr : procs_) {

@@ -178,7 +178,10 @@ class Simulation {
   /// Process ids in the order stepped — a schedule that replays this run.
   /// Clock ticks appear as kNoProc entries (ScriptedScheduler passes them
   /// through and Simulation::run re-applies the tick).
-  const std::vector<ProcId>& schedule() const { return schedule_; }
+  const std::vector<ProcId>& schedule() const {
+    if (schedule_has_erased_) [[unlikely]] compact_schedule();
+    return schedule_;
+  }
 
   void set_directive_policy(DirectivePolicy policy) {
     policy_ = std::move(policy);
@@ -189,9 +192,12 @@ class Simulation {
   /// previous writer left (or the initial value), forgets its ledger
   /// contribution, and removes it from the runnable set. Sound — and
   /// enforced — only when (a) the cost model is stateless (DSM), (b) no
-  /// other process has seen p, and (c) the history uses no LL/SC (whose
-  /// reservation side effects cannot be reverted). The resulting state is
-  /// exactly what replaying the p-filtered schedule would produce.
+  /// other process has seen p, (c) the history uses no LL/SC (whose
+  /// reservation side effects cannot be reverted), and (d) p never crashed
+  /// (its fault records cannot be erased). The resulting state is exactly
+  /// what replaying the p-filtered schedule would produce. Costs
+  /// O(records of p) plus the schedule filter: the queries come from the
+  /// store's last-writer lane and the history's erasure index.
   void erase_process(ProcId p);
 
   /// True iff p was removed via erase_process.
@@ -319,6 +325,10 @@ class Simulation {
   /// without paying a frame allocation and prologue run.
   Simulation(SharedMemory& memory, const WorldSnapshot& snap);
 
+  /// Drops the erased processes' entries from schedule_. erase_process()
+  /// defers this to the next read, so a chase of erasures filters once.
+  void compact_schedule() const;
+
   /// Arms a freshly-suspended delay (records its wake time).
   void arm_delay(Proc& pr);
 
@@ -339,7 +349,10 @@ class Simulation {
   int unfinished_ = 0;  // procs not yet finished: all_terminated() in O(1)
   DirectivePolicy policy_;
   History history_;
-  std::vector<ProcId> schedule_;
+  // Mutable for compact_schedule(): a const read first drops the entries
+  // erase_process() left behind.
+  mutable std::vector<ProcId> schedule_;
+  mutable bool schedule_has_erased_ = false;
   std::vector<FaultRecord> fault_trace_;
   bool fork_log_ = false;  // resume logging on (snapshot()-capable)
 };

@@ -5,12 +5,19 @@
 // CC model stays O(1). This is Theorem 6.2 vs Section 5, executable.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
+#include <string>
+#include <vector>
+
+#include "history_oracle.h"
 #include "lowerbound/adversary.h"
 #include "lowerbound/independent_set.h"
 #include "memory/cc_model.h"
 #include "signaling/broken.h"
 #include "signaling/cas_registration.h"
 #include "signaling/cc_flag.h"
+#include "signaling/dsm_fixed.h"
 #include "signaling/dsm_queue.h"
 #include "signaling/dsm_registration.h"
 
@@ -134,6 +141,138 @@ TEST(Erasure, RefusesLlScHistories) {
   Simulation sim(*mem, std::move(programs));
   sim.step(0);  // LL
   EXPECT_THROW(sim.erase_process(0), std::logic_error);
+}
+
+TEST(Erasure, RefusesRecoveredProcess) {
+  auto mem = make_dsm(2);
+  const VarId a = mem->allocate_global(0, "a");
+  std::vector<Program> programs(2);
+  programs[0] = [a](ProcCtx& ctx) -> ProcTask {
+    co_await ctx.write(a, 1);
+    co_await ctx.read(a);
+  };
+  Simulation sim(*mem, std::move(programs));
+  sim.step(0);  // a := 1, never read by anyone else
+  sim.crash(0);
+  sim.recover(0);  // live and unseen again, but its crash happened
+  EXPECT_THROW(sim.erase_process(0), std::logic_error);
+  // Nothing was erased: the crash stays in the history and the fault trace.
+  EXPECT_FALSE(sim.erased(0));
+  EXPECT_EQ(sim.history().crash_events(), 1u);
+  EXPECT_EQ(sim.fault_trace().size(), 2u);
+  EXPECT_EQ(sim.crash_count(0), 1);
+}
+
+// Compares every erasure query with its linear scan (history_oracle.h):
+// the erasure index, the store's last writer, the subtracted counters and
+// the compacted record numbering. Returns the first disagreement, or "".
+std::string erasure_queries_disagree(const Simulation& sim) {
+  const History& h = sim.history();
+  const MemoryStore& store = sim.memory().store();
+  // The scans read a copy: reading the records compacts them, and the
+  // original keeps its pending tombstones for the erasures still to come.
+  const History copy = h;
+  for (VarId v = 0; v < store.num_vars(); ++v) {
+    const std::string at = " of v" + std::to_string(v);
+    if (store.last_writer(v) != oracle::last_writer(copy, v)) {
+      return "store last_writer" + at;
+    }
+    const std::vector<ProcId> writers = oracle::writers_of(copy, v);
+    if (h.writers_of(v) != writers) return "writers_of" + at;
+    std::vector<ProcId> excluded = writers;
+    excluded.push_back(kNoProc);
+    for (const ProcId x : excluded) {
+      if (h.last_write_excluding(v, x) !=
+          oracle::last_write_excluding(copy, v, x)) {
+        return "last_write_excluding" + at + " without p" + std::to_string(x);
+      }
+    }
+  }
+  for (ProcId p = 0; p < sim.nprocs(); ++p) {
+    const std::string at = " of p" + std::to_string(p);
+    if (h.vars_written_by(p) != oracle::vars_written_by(copy, p)) {
+      return "vars_written_by" + at;
+    }
+    if (h.seen_by_other(p) != oracle::seen_by_other(copy, p)) {
+      return "seen_by_other" + at;
+    }
+  }
+  std::string counters;
+  h.encode_counters(counters);
+  if (counters != oracle::rebuilt_counters(copy)) return "encode_counters";
+  if (copy.records().size() != h.size()) return "records().size()";
+  for (std::size_t i = 0; i < copy.records().size(); ++i) {
+    if (copy.records()[i].index != static_cast<std::int64_t>(i)) {
+      return "records()[" + std::to_string(i) + "].index";
+    }
+  }
+  return "";
+}
+
+TEST(Erasure, IndexedQueriesMatchScans) {
+  // Every strict construction that erases: the stabilizing algorithms, the
+  // Lemma 6.11 branch (flag-dsm), a convicted algorithm, and cas, whose
+  // out-of-scope fallback rebuilds the instance.
+  using Factory = SignalingAdversary::AlgFactory;
+  struct Row {
+    std::string name;
+    std::function<Factory(int)> factory;
+  };
+  const std::vector<Row> rows = {
+      {"registration",
+       [](int n) -> Factory {
+         return [n](SharedMemory& m) {
+           return std::make_unique<DsmRegistrationSignal>(
+               m, static_cast<ProcId>(n - 2));
+         };
+       }},
+      {"fixed-waiters",
+       [](int n) -> Factory {
+         return [n](SharedMemory& m) {
+           std::vector<ProcId> ws;
+           for (int i = 0; i < n - 1; ++i) ws.push_back(i);
+           return std::make_unique<DsmFixedWaitersSignal>(m, std::move(ws));
+         };
+       }},
+      {"flag-dsm",
+       [](int) -> Factory {
+         return [](SharedMemory& m) {
+           return std::make_unique<CcFlagSignal>(m);
+         };
+       }},
+      {"broken",
+       [](int) -> Factory {
+         return [](SharedMemory& m) {
+           return std::make_unique<BrokenLocalSignal>(m);
+         };
+       }},
+      {"cas",
+       [](int) -> Factory {
+         return [](SharedMemory& m) {
+           return std::make_unique<CasRegistrationSignal>(m);
+         };
+       }},
+  };
+  int erasures = 0;
+  for (const Row& row : rows) {
+    for (const int n : {16, 32, 64}) {
+      const std::string where = row.name + " N=" + std::to_string(n);
+      AdversaryConfig c;  // strict, in DSM
+      c.nprocs = n;
+      if (row.name == "flag-dsm") c.unstable_extension_rounds = n / 4;
+      int step = 0;
+      c.after_erase = [&](const Simulation& sim) {
+        ++erasures;
+        EXPECT_EQ(erasure_queries_disagree(sim), "")
+            << where << ", after erasure " << ++step;
+      };
+      SignalingAdversary adv(row.factory(n), c);
+      adv.run();
+      EXPECT_EQ(erasure_queries_disagree(adv.simulation()), "")
+          << where << ", at the end";
+    }
+  }
+  EXPECT_GT(erasures, 100);
 }
 
 // ---------------------------------------------------------------------------

@@ -7,6 +7,9 @@
 #include <gtest/gtest.h>
 
 #include <unistd.h>
+#ifdef __GLIBC__
+#include <malloc.h>
+#endif
 
 #include <algorithm>
 #include <chrono>
@@ -23,6 +26,7 @@
 
 #include "common/fsio.h"
 #include "harness/drive.h"
+#include "lowerbound/adversary.h"
 #include "memory/shared_memory.h"
 #include "signaling/cc_flag.h"
 #include "signaling/workload.h"
@@ -90,6 +94,48 @@ TEST(PerfGate, TraceReplayFloor) {
     return trace.ops.size();
   });
   EXPECT_GE(ops_per_sec, kOptimised ? 500'000 : 10'000) << "ops/s";
+}
+
+// ---- Theorem 6.2 adversary: erasure queries independent of N ----------
+
+/// Host ns per simulated step of the strict registration adversary at N,
+/// the fastest of 4 runs. Steps are counted as they are taken
+/// (Simulation::steps_taken), so the erased ones count too.
+double adversary_ns_per_step(int n) {
+  double best = 0;
+  for (int run = 0; run < 4; ++run) {
+    AdversaryConfig c;
+    c.nprocs = n;
+    SignalingAdversary adv(make_signal_factory_by_name("registration", n - 2),
+                           c);
+    const auto t0 = std::chrono::steady_clock::now();
+    adv.run();
+    const double seconds = seconds_since(t0);
+    std::uint64_t steps = 0;
+    for (ProcId p = 0; p < n; ++p) steps += adv.simulation().steps_taken(p);
+    const double ns = seconds * 1e9 / static_cast<double>(steps);
+    best = run == 0 ? ns : std::min(best, ns);
+  }
+  return best;
+}
+
+TEST(PerfGate, AdversaryFlatInN) {
+  // Every erasure query comes from the store or the history's erasure
+  // index, so a step costs the same at N = 2187 as at N = 243; a scan of
+  // the history per query made it ~25x dearer. The ratio is taken inside
+  // one process, which resists time lent to other tenants. Each N keeps
+  // its fastest run. A run's first touch of fresh memory costs the same per
+  // step at either N, but glibc hands the big N's blocks back to the kernel
+  // on free (they pass its mmap threshold) and the small N's not, so only
+  // the big N would pay page faults on every run: keep freed memory here.
+#ifdef __GLIBC__
+  mallopt(M_MMAP_THRESHOLD, 32 << 20);
+  mallopt(M_TRIM_THRESHOLD, 1 << 30);
+#endif
+  const double large = adversary_ns_per_step(2187);
+  const double small = adversary_ns_per_step(243);
+  EXPECT_LE(large / small, kOptimised ? 2.0 : 4.0)
+      << small << " ns/step at N=243, " << large << " ns/step at N=2187";
 }
 
 // ---- explore reference: snapshot mode vs from-scratch replay ----------
