@@ -209,6 +209,36 @@ std::string erasure_queries_disagree(const Simulation& sim) {
   return "";
 }
 
+TEST(Erasure, ErasingTheReaderUnhidesTheWriter) {
+  // p1 sees p0, so p0 cannot be erased; once p1 is erased, no one has seen
+  // p0 and it can be.
+  auto mem = make_dsm(3);
+  const VarId a = mem->allocate_global(0, "a");
+  std::vector<Program> programs(3);
+  programs[0] = [a](ProcCtx& ctx) -> ProcTask {
+    co_await ctx.write(a, 5);
+    co_await ctx.read(a);
+  };
+  programs[1] = [a](ProcCtx& ctx) -> ProcTask {
+    co_await ctx.read(a);
+    co_await ctx.write(a, 6);
+    co_await ctx.read(a);
+  };
+  Simulation sim(*mem, std::move(programs));
+  sim.step(0);  // a := 5
+  sim.step(1);  // p1 reads 5: sees p0
+  sim.step(1);  // a := 6
+  EXPECT_THROW(sim.erase_process(0), std::logic_error);
+  sim.erase_process(1);
+  EXPECT_EQ(erasure_queries_disagree(sim), "");
+  EXPECT_FALSE(sim.history().seen_by_other(0));
+  EXPECT_EQ(mem->store().value(a), 5);
+  sim.erase_process(0);
+  EXPECT_EQ(erasure_queries_disagree(sim), "");
+  EXPECT_EQ(mem->store().value(a), 0);
+  EXPECT_EQ(sim.history().size(), 0u);
+}
+
 TEST(Erasure, IndexedQueriesMatchScans) {
   // Every strict construction that erases: the stabilizing algorithms, the
   // Lemma 6.11 branch (flag-dsm), a convicted algorithm, and cas, whose
