@@ -63,13 +63,14 @@ const std::vector<StepRecord>& History::records() const {
 }
 
 void History::compact() const {
-  if (tombstones_ == 0) return;
+  ErasureIndex* ix = index_.ptr.get();
+  if (ix == nullptr || ix->tombstones == 0) return;
   std::erase_if(records_, [](const StepRecord& r) { return r.index < 0; });
-  tombstones_ = 0;
-  for (auto& ps : index_.positions) ps.clear();
+  ix->tombstones = 0;
+  for (auto& ps : ix->positions) ps.clear();
   for (std::size_t i = 0; i < records_.size(); ++i) {
     records_[i].index = static_cast<std::int64_t>(i);
-    index_.positions[static_cast<std::size_t>(records_[i].proc)].push_back(
+    ix->positions[static_cast<std::size_t>(records_[i].proc)].push_back(
         static_cast<std::uint32_t>(i));
   }
 }
@@ -91,15 +92,15 @@ void History::ErasureIndex::add(const StepRecord& r, std::uint32_t position) {
   }
 }
 
-const History::ErasureIndex& History::index() const {
-  if (!index_.built) {
-    // Tombstones exist only once the index does, so records_ is compact.
-    index_.built = true;
+History::ErasureIndex& History::index() const {
+  if (index_.ptr == nullptr) {
+    // Tombstones live in the index, so without one records_ is compact.
+    index_.ptr = std::make_unique<ErasureIndex>();
     for (std::size_t i = 0; i < records_.size(); ++i) {
-      index_.add(records_[i], static_cast<std::uint32_t>(i));
+      index_.ptr->add(records_[i], static_cast<std::uint32_t>(i));
     }
   }
-  return index_;
+  return *index_.ptr;
 }
 
 History::ProcCounters& History::counters_for(ProcId p) {
@@ -135,9 +136,9 @@ const StepRecord& History::append(StepRecord record) {
   fold_into_counters(record);
   if (mode_ == HistoryMode::kFull) {
     records_.push_back(std::move(record));
-    if (index_.built) [[unlikely]] {
-      index_.add(records_.back(),
-                 static_cast<std::uint32_t>(records_.size() - 1));
+    if (index_.ptr != nullptr) [[unlikely]] {
+      index_.ptr->add(records_.back(),
+                      static_cast<std::uint32_t>(records_.size() - 1));
     }
     return records_.back();
   }
@@ -261,14 +262,14 @@ void History::remove_proc(ProcId p) {
   ensure(!saw_ll_sc_, "remove_proc() does not support LL/SC histories");
   const auto idx = static_cast<std::size_t>(p);
   if (idx >= per_proc_.size() || per_proc_[idx].steps == 0) return;
-  index();
+  ErasureIndex& ix = index();
   std::vector<VarId> written;
-  for (const std::uint32_t pos : index_.positions[idx]) {
+  for (const std::uint32_t pos : ix.positions[idx]) {
     StepRecord& r = records_[pos];
     if (r.kind == StepRecord::Kind::kMemOp) {
       const ProcId q = r.outcome.prev_writer;
       if (reads_value(r.op.type) && q != kNoProc && q != p) {
-        --index_.seen_by[static_cast<std::size_t>(q)];
+        --ix.seen_by[static_cast<std::size_t>(q)];
       }
       if (r.outcome.nontrivial) written.push_back(r.op.var);
     } else if (r.event == EventKind::kCrash) {
@@ -278,12 +279,12 @@ void History::remove_proc(ProcId p) {
     }
     r.index = -1;  // tombstone, dropped by compact()
   }
-  tombstones_ += index_.positions[idx].size();
-  index_.positions[idx].clear();
+  ix.tombstones += ix.positions[idx].size();
+  ix.positions[idx].clear();
   std::sort(written.begin(), written.end());
   written.erase(std::unique(written.begin(), written.end()), written.end());
   for (const VarId v : written) {
-    std::erase_if(index_.overwrites[static_cast<std::size_t>(v)],
+    std::erase_if(ix.overwrites[static_cast<std::size_t>(v)],
                   [p](const Overwrite& w) { return w.writer == p; });
   }
   // Subtract p's counters; drop the trailing entries of processes with no
@@ -434,8 +435,7 @@ void History::decode(ByteReader& r) {
   recovery_events_ = r.u64();
   saw_ll_sc_ = r.u32() != 0;
   records_.clear();
-  tombstones_ = 0;
-  index_ = ErasureIndex{};
+  index_.ptr.reset();
   if (mode_ == HistoryMode::kFull) {
     const std::uint32_t n = r.u32();
     r.need(std::size_t{88} * n);

@@ -26,10 +26,11 @@
 // records, so a chase of many erasures pays for one compaction. Both are
 // lazily materialized caches of the records: neither is part of the wire
 // encoding, and a History is not safe to query from two threads while an
-// erasure is pending or its index is unbuilt (DESIGN.md, "Erasure").
+// erasure is pending or its index is unbuilt (DESIGN.md §9.2).
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <utility>
 #include <vector>
@@ -180,31 +181,48 @@ class History {
 
   /// The erasure index: a cache of the records, never encoded.
   struct ErasureIndex {
-    bool built = false;
     /// Per process: positions of its records in records_, ascending.
     std::vector<std::vector<std::uint32_t>> positions;
     /// Per variable: every overwrite of it, in record order.
     std::vector<std::vector<Overwrite>> overwrites;
     /// Per process: reads by other processes that returned its write.
     std::vector<std::uint64_t> seen_by;
+    /// Records remove_proc() tombstoned (index < 0) for compact() to drop.
+    std::size_t tombstones = 0;
 
     void add(const StepRecord& r, std::uint32_t position);
+  };
+
+  /// Owns the index, null until the first erasure query; copying a history
+  /// clones it. One pointer, so that a history that never erases keeps its
+  /// size: a snapshot's size, and so the snapshot cache's budget, counts
+  /// sizeof(History).
+  struct IndexSlot {
+    std::unique_ptr<ErasureIndex> ptr;
+
+    IndexSlot() = default;
+    IndexSlot(const IndexSlot& o) { *this = o; }
+    IndexSlot& operator=(const IndexSlot& o) {
+      ptr = o.ptr ? std::make_unique<ErasureIndex>(*o.ptr) : nullptr;
+      return *this;
+    }
+    IndexSlot(IndexSlot&&) noexcept = default;
+    IndexSlot& operator=(IndexSlot&&) noexcept = default;
   };
 
   void require_full(const char* what) const;
   ProcCounters& counters_for(ProcId p);
   void fold_into_counters(const StepRecord& r);
-  /// Builds the erasure index from the records if it is not built yet.
-  const ErasureIndex& index() const;
+  /// The erasure index, built from the records if it is not built yet.
+  ErasureIndex& index() const;
   /// Drops the records remove_proc() tombstoned and renumbers the rest.
   void compact() const;
 
   HistoryMode mode_ = HistoryMode::kFull;
+  bool saw_ll_sc_ = false;  // in mode_'s padding (see IndexSlot)
   // Empty in counters-only mode. Mutable for compact(): a const read of the
-  // records first drops the tombstones remove_proc() left (index < 0).
+  // records first drops the tombstones remove_proc() left.
   mutable std::vector<StepRecord> records_;
-  mutable std::size_t tombstones_ = 0;
-  mutable ErasureIndex index_;
   StepRecord scratch_;  // append()'s return slot when not storing
 
   // Aggregates, maintained in both modes (indexed by ProcId, grown lazily).
@@ -213,7 +231,7 @@ class History {
   std::uint64_t total_rmrs_ = 0;
   std::uint64_t crash_events_ = 0;
   std::uint64_t recovery_events_ = 0;
-  bool saw_ll_sc_ = false;
+  mutable IndexSlot index_;
 };
 
 /// The value a nontrivial memory-op record stored into its variable.

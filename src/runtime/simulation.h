@@ -196,8 +196,9 @@ class Simulation {
   /// reservation side effects cannot be reverted), and (d) p never crashed
   /// (its fault records cannot be erased). The resulting state is exactly
   /// what replaying the p-filtered schedule would produce. Costs
-  /// O(records of p) plus the schedule filter: the queries come from the
-  /// store's last-writer lane and the history's erasure index.
+  /// O(records of p): the queries come from the store's last-writer lane
+  /// and the history's erasure index, and the history's compaction and the
+  /// schedule's filter wait for their next read.
   void erase_process(ProcId p);
 
   /// True iff p was removed via erase_process.

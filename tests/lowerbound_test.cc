@@ -179,6 +179,8 @@ std::string erasure_queries_disagree(const Simulation& sim) {
     }
     const std::vector<ProcId> writers = oracle::writers_of(copy, v);
     if (h.writers_of(v) != writers) return "writers_of" + at;
+    // A process that never wrote v excludes nothing: kNoProc stands for
+    // every one of them.
     std::vector<ProcId> excluded = writers;
     excluded.push_back(kNoProc);
     for (const ProcId x : excluded) {

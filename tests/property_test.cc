@@ -149,6 +149,7 @@ TEST(ErasureEquivalence, InPlaceEraseMatchesFilteredReplayExactly) {
   sim3.run(script, 1'000'000);
 
   expect_same_history(sim2.history(), sim3.history());
+  EXPECT_EQ(sim2.schedule(), filtered);
   ASSERT_EQ(mem2->store().num_vars(), mem3->store().num_vars());
   for (VarId v = 0; v < mem2->store().num_vars(); ++v) {
     EXPECT_EQ(mem2->store().value(v), mem3->store().value(v)) << "var " << v;
