@@ -78,6 +78,14 @@ SignalingFactory make_signal_factory_by_name(const std::string& name,
        "blocking-leader|broken)");
 }
 
+bool signal_alg_polls(const std::string& name) {
+  return name != "blocking-leader";
+}
+
+const char* polling_signal_alg_names() {
+  return "flag|single-waiter|registration|queue|cas|llsc|rw-cas|broken";
+}
+
 std::shared_ptr<MutexAlgorithm> make_lock_by_name(const std::string& name,
                                                   SharedMemory& mem) {
   if (name == "mcs") return std::make_shared<McsLock>(mem);

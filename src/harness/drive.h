@@ -44,6 +44,15 @@ bool is_model_name(const std::string& name);
 SignalingFactory make_signal_factory_by_name(const std::string& name,
                                              int fixed_home);
 
+/// True iff the signaling algorithm `name` implements Poll(): every one but
+/// blocking-leader, which implements Wait() only and whose poll() throws.
+/// A run that drives Poll() refuses, by name and up front, an algorithm for
+/// which this is false.
+bool signal_alg_polls(const std::string& name);
+
+/// The algorithm names signal_alg_polls accepts, as "a|b|...".
+const char* polling_signal_alg_names();
+
 /// Mutex lock by CLI name: mcs | ya | anderson | ticket | tas | clh |
 /// bakery | peterson | recoverable. Throws std::logic_error on an unknown
 /// name.

@@ -143,7 +143,6 @@ MetricsRegistry e2_runner(const SweepPoint& p) {
   }
   if (p.algorithm == "flag-cc-control") {
     c.construction = Construction::kLenient;
-    c.erase_during_chase = false;
     c.make_memory = [](int k) { return make_cc(k); };
     return run_adversary_point(
         [](SharedMemory& m) { return std::make_unique<CcFlagSignal>(m); }, c);

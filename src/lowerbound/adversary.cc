@@ -489,14 +489,22 @@ void SignalingAdversary::part2(AdversaryReport& report) {
   report.signaler = s;
   modes_[static_cast<std::size_t>(s)] = Mode::kSignalThenFinish;
 
+  // Chase erasure is part of the strict construction only; the lenient one
+  // (asked for, or the strict one's out-of-scope fallback) measures the
+  // signaler without erasing. With e.g. FAI chains, erasing the (unseen)
+  // last enqueuer makes its predecessor unseen in turn, legally cascading
+  // the whole queue away — a history with zero registered waiters, which
+  // FAI algorithms serve in O(1) and which therefore measures nothing.
+  const bool chase_erases = config_.erase_during_chase &&
+                            config_.construction == Construction::kStrict;
+
   // The wild goose chase: erase each active waiter just before s would see
   // or touch it, then let s take the (now remote-to-nobody-useful) step.
   std::uint64_t guard = 0;
   while (!sim_->terminated(s)) {
     ensure(++guard < kStepBudget, "Signal() exceeded the step budget — the "
                                   "algorithm may not be terminating");
-    if (config_.erase_during_chase &&
-        sim_->pending(s).kind == ActionKind::kMemOp) {
+    if (chase_erases && sim_->pending(s).kind == ActionKind::kMemOp) {
       report.erased_during_chase += clear_targets(s);
     }
     sim_->step(s);
@@ -539,7 +547,7 @@ void SignalingAdversary::part2(AdversaryReport& report) {
   // active waiters were never seen or touched, so erasing them leaves only
   // s and the part-1 finishers in H'. (Skipped in measure-only mode, where
   // s legitimately communicated with everyone.)
-  if (config_.erase_during_chase) {
+  if (chase_erases) {
     for (const ProcId p : active_procs()) {
       if (!sim_->history().seen_by_other(p)) erase(p);
     }
@@ -569,14 +577,9 @@ AdversaryReport SignalingAdversary::run() {
     if (!report.in_scope) {
       // Stronger primitives escape the construction; fall back to the
       // lenient measurement so the report still carries the Section 7
-      // quantities. Chase erasure is part of the strict construction only:
-      // with e.g. FAI chains, erasing the (unseen) last enqueuer makes its
-      // predecessor unseen in turn, legally cascading the whole queue away —
-      // a history with zero registered waiters, which FAI algorithms serve
-      // in O(1) and which therefore measures nothing.
+      // quantities.
       build_instance();
       config_.construction = Construction::kLenient;
-      config_.erase_during_chase = false;
       report.construction = Construction::kLenient;
       stabilized = part1_lenient(report);
     }

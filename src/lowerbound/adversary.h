@@ -33,9 +33,10 @@
 //    reported as out-of-scope.
 //  * kLenient — the simplified Section 7 argument ("the signaler must write
 //    remotely to the local memory of each stable waiter"): stabilize all
-//    waiters without erasure, then measure the signaler. Works under any
-//    model and primitive set; this is also the CC-side control that
-//    exhibits the separation.
+//    waiters without erasure, then measure the signaler, again without
+//    erasure (erase_during_chase is ignored). Works under any model and
+//    primitive set; this is also the CC-side control that exhibits the
+//    separation.
 //
 // Erasure is performed in place (Simulation::erase_process) under the exact
 // Lemma 6.7 precondition — the erased process was never seen — which the
@@ -58,7 +59,9 @@ struct AdversaryConfig {
   int nprocs = 32;             ///< total processes (waiters + reserve)
   int reserve = 1;             ///< processes kept aside as signaler candidates
   Construction construction = Construction::kStrict;
-  bool erase_during_chase = true;  ///< false = measure-only part 2
+  /// Strict construction only: false = measure-only part 2. The lenient
+  /// construction never erases during the chase.
+  bool erase_during_chase = true;
   int max_rounds = 16;             ///< part-1 round limit (the proof's c)
   std::uint64_t probe_steps = 64;  ///< stability semi-decision budget
                                    ///< (substitution 4 in DESIGN.md)

@@ -22,19 +22,13 @@ int run_dist_worker(const ExploreBuilder& build, const ExploreChecker& check,
   write_frame(out_fd, encode_hello(hello));
 
   // Proto snapshot for grafting the unserializable immutables (programs,
-  // policy, keepalive — see runtime/snapshot_codec.h): the
-  // untouched world of a locally built instance, constructed exactly the
-  // way the coordinator builds its own.
+  // policy, keepalive — see runtime/snapshot_codec.h): the untouched fresh
+  // world every rebuild starts from, built exactly the way the
+  // coordinator builds its own.
   std::shared_ptr<const WorldSnapshot> proto;
-  if (options.snapshot_mode == SnapshotMode::kSnapshot) {
-    ExploreInstance inst =
-        materialize_schedule(build, {}, ReplayUnit::kMacro,
-                             options.counters_only_history, nullptr, nullptr);
-    // materialize_schedule only arms resume logging when it is handed a
-    // cache; the empty schedule means zero steps have run, so arming it
-    // here still satisfies take_snapshot's before-first-step requirement.
-    inst.sim->enable_fork_log();
-    proto = take_snapshot(inst);
+  if (options.snapshot.mode == SnapshotMode::kSnapshot) {
+    proto = take_snapshot(fresh_world(build, options.counters_only_history,
+                                      /*snapshots=*/true));
   }
 
   // Deterministic mid-item death for the failure harnesses: SIGKILL upon

@@ -7,7 +7,6 @@
 #include <limits>
 #include <map>
 #include <mutex>
-#include <optional>
 #include <set>
 #include <stdexcept>
 #include <string>
@@ -111,8 +110,7 @@ struct Shared {
   std::uint64_t max_nodes = 0;
   bool collect_completes = false;
   bool counters_only = false;
-  bool snapshots = false;  // SnapshotMode::kSnapshot
-  SnapshotCache::Config cache_config;
+  SnapshotSettings snapshot;
   // Worker-failure discipline (DporOptions). The injection hook is a
   // pointer into the options object, which outlives the search.
   int item_max_attempts = 1;
@@ -266,18 +264,15 @@ void run_item(const Shared& sh, const WorkItem& item, ItemOutcome& out) {
   // Private per-item cache, seeded with the shipped root snapshot: the
   // item's first rebuild is a pure restore, later ones restore the deepest
   // stride-aligned ancestor captured during descent. No cross-thread state.
-  std::optional<SnapshotCache> cache;
-  if (sh.snapshots) {
-    cache.emplace(sh.cache_config);
-    if (item.root_snap != nullptr) {
-      cache->insert(item.schedule, item.root_snap);
-    }
+  const std::unique_ptr<SnapshotCache> cache =
+      make_snapshot_cache(sh.snapshot);
+  if (cache != nullptr && item.root_snap != nullptr) {
+    cache->insert(item.schedule, item.root_snap);
   }
-  SnapshotCache* cache_ptr = cache.has_value() ? &*cache : nullptr;
 
   ExploreInstance inst = materialize_schedule(*sh.build, schedule,
                                               ReplayUnit::kMacro,
-                                              sh.counters_only, cache_ptr,
+                                              sh.counters_only, cache.get(),
                                               &out.replay);
   bool sim_valid = true;
 
@@ -337,7 +332,7 @@ void run_item(const Shared& sh, const WorkItem& item, ItemOutcome& out) {
     }
     if (!sim_valid) {
       inst = materialize_schedule(*sh.build, schedule, ReplayUnit::kMacro,
-                                  sh.counters_only, cache_ptr, &out.replay);
+                                  sh.counters_only, cache.get(), &out.replay);
       sim_valid = true;
     }
     Node child;
@@ -349,18 +344,13 @@ void run_item(const Shared& sh, const WorkItem& item, ItemOutcome& out) {
       continue;
     }
     frames.push_back(std::move(child));
-    if (cache_ptr != nullptr &&
-        schedule.size() % static_cast<std::size_t>(sh.cache_config.stride) ==
-            0 &&
-        !cache_ptr->contains(schedule)) {
-      // Descent-time capture at stride-aligned depths: later backtracks into
-      // this subtree restore here instead of replaying from the item root.
-      if (cache_ptr->insert(schedule, take_snapshot(inst))) {
-        ++out.replay.snapshots_taken;
-      }
+    // Descent-time capture: later backtracks into this subtree restore here
+    // instead of replaying from the item root.
+    if (cache != nullptr) {
+      cache->capture(schedule, schedule.size(), inst, &out.replay);
     }
   }
-  if (cache.has_value()) fold_cache_stats(*cache, out.replay);
+  fold_cache_stats(cache.get(), out.replay);
 }
 
 /// Runs one item under the worker-failure discipline: a failed attempt
@@ -418,9 +408,7 @@ void init_shared(Shared& sh, const ExploreBuilder& build,
   sh.max_nodes = options.max_nodes;
   sh.collect_completes = static_cast<bool>(options.on_complete_schedule);
   sh.counters_only = options.counters_only_history;
-  sh.snapshots = options.snapshot_mode == SnapshotMode::kSnapshot;
-  sh.cache_config = SnapshotCache::Config{std::max(1, options.snapshot_stride),
-                                          options.snapshot_max_bytes};
+  sh.snapshot = options.snapshot;
   sh.item_max_attempts = std::max(1, options.item_max_attempts);
   sh.retry_backoff_ms = options.retry_backoff_ms;
   sh.item_node_limit = options.item_node_limit;
@@ -429,17 +417,6 @@ void init_shared(Shared& sh, const ExploreBuilder& build,
 }
 
 }  // namespace
-
-ExploreInstance replay_macro_schedule(const ExploreBuilder& build,
-                                      const std::vector<ProcId>& schedule) {
-  ExploreInstance inst = build();
-  ensure(inst.sim != nullptr, "explore builder returned no simulation");
-  for (const ProcId p : schedule) {
-    ensure(inst.sim->runnable(p), "macro schedule replay diverged");
-    inst.sim->macro_step(p);
-  }
-  return inst;
-}
 
 ExploreResult explore_dpor(const ExploreBuilder& build,
                            const ExploreChecker& check,
@@ -454,10 +431,8 @@ ExploreResult explore_dpor(const ExploreBuilder& build,
 
   // Trunk-level cache: the coordinator's expansions walk prefixes of each
   // other, so nearly every rebuild is a one-step delta from a cached node.
-  std::optional<SnapshotCache> trunk_cache;
-  if (sh.snapshots) trunk_cache.emplace(sh.cache_config);
-  SnapshotCache* trunk_cache_ptr =
-      trunk_cache.has_value() ? &*trunk_cache : nullptr;
+  const std::unique_ptr<SnapshotCache> trunk_cache =
+      make_snapshot_cache(sh.snapshot);
 
   const int trunk_depth =
       std::max(0, std::min(options.trunk_depth, options.max_depth));
@@ -499,7 +474,7 @@ ExploreResult explore_dpor(const ExploreBuilder& build,
       WorkItem item{std::move(sched), std::move(node.path),
                     std::move(node.sleep), node.naive_product,
                     node.naive_sum, nullptr};
-      if (sh.snapshots) {
+      if (trunk_cache != nullptr) {
         // Ship the root world with the item: whichever worker steals it
         // starts from a restore, not a trunk-prefix replay.
         item.root_snap = take_snapshot(inst);
@@ -544,7 +519,7 @@ ExploreResult explore_dpor(const ExploreBuilder& build,
     }
     ExploreInstance root =
         materialize_schedule(build, {}, ReplayUnit::kMacro, sh.counters_only,
-                             trunk_cache_ptr, &result.stats);
+                             trunk_cache.get(), &result.stats);
     if (const auto v = check(root.sim->history()); v.has_value()) {
       result.nodes_visited = sh.nodes.load();
       result.violation = v;
@@ -576,7 +551,7 @@ ExploreResult explore_dpor(const ExploreBuilder& build,
 
       ExploreInstance inst =
           materialize_schedule(build, sched, ReplayUnit::kMacro,
-                               sh.counters_only, trunk_cache_ptr,
+                               sh.counters_only, trunk_cache.get(),
                                &result.stats);
       std::vector<ProcId> child_sched = sched;
       Node child;
@@ -734,7 +709,7 @@ ExploreResult explore_dpor(const ExploreBuilder& build,
     if (ck != nullptr) ck->flush();
   }
 
-  if (trunk_cache.has_value()) fold_cache_stats(*trunk_cache, result.stats);
+  fold_cache_stats(trunk_cache.get(), result.stats);
   result.nodes_visited = std::min<std::uint64_t>(sh.nodes.load(), sh.max_nodes);
   // Quarantined items leave their subtrees unexplored: like a budget trip,
   // the verdict is then best-effort, never reported as exhaustive.

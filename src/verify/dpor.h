@@ -42,11 +42,13 @@
 // least one mutation, or both flush observable events
 // (Simulation::dependent). Races are detected retroactively with vector
 // clocks over the executed path; the search is stateless — each backtrack
-// rebuilds a disposable world, by replaying the schedule prefix from scratch
-// (SnapshotMode::kReplay, exactly like the naive explorer) or by restoring
-// the deepest cached WorldSnapshot and replaying only the suffix
-// (SnapshotMode::kSnapshot, the default — identical results, no O(depth)
-// replay per node).
+// rebuilds a disposable world through the rebuild path every engine shares
+// (materialize_schedule, verify/snapshot_cache.h): by replaying the schedule
+// prefix from scratch (SnapshotMode::kReplay) or by restoring the deepest
+// cached WorldSnapshot and replaying only the suffix (SnapshotMode::kSnapshot,
+// the default — identical results, no O(depth) replay per node). The trunk,
+// every work item and the dist worker configure their caches from the one
+// SnapshotSettings in DporOptions.
 //
 // Parallel exploration is deterministic by construction: a sequential
 // coordinator owns the top of the tree (the "trunk", up to trunk_depth),
@@ -140,14 +142,16 @@ class DistItemExecutor {
       const std::function<void(std::size_t, DistItemResult&&)>& done) = 0;
 };
 
-struct DporOptions {
-  /// Abandon a schedule past this many macro steps (same meaning as
-  /// ExploreOptions::max_depth under macro stepping).
-  int max_depth = 64;
-  /// Stop after visiting this many nodes (safety valve). Verdicts are
-  /// deterministic across worker counts only when the search finishes
-  /// under this budget.
-  std::uint64_t max_nodes = 2'000'000;
+/// The naive explorer's options (max_depth, counted in macro steps;
+/// max_nodes; counters-only history; the snapshot settings) plus the
+/// parallel search's own. Verdicts are deterministic across worker counts
+/// only when the search finishes under max_nodes. In snapshot mode the
+/// coordinator rebuilds trunk expansions through a trunk-level cache, and
+/// every work item carries a snapshot of its root — stolen frames ship
+/// their world with them — plus a private cache for its subtree, each with
+/// its own byte budget. Verdicts, schedules, and statistics stay
+/// deterministic across worker counts in both modes.
+struct DporOptions : ExploreOptions {
   /// Worker threads for subtree exploration. 1 = run everything on the
   /// calling thread (same code path, bit-identical results). Builders and
   /// checkers are called concurrently when workers > 1 and must be
@@ -161,20 +165,6 @@ struct DporOptions {
   /// it. Used by sweep_crash_product to enumerate crash-injection bases.
   /// In-process only: explore_dpor refuses it together with `dist`.
   std::function<void(const std::vector<ProcId>&)> on_complete_schedule = {};
-  /// Same meaning as ExploreOptions::counters_only_history: built instances
-  /// skip per-step records. Only sound with counter-backed checkers.
-  bool counters_only_history = false;
-  /// Node reconstruction strategy (see ExploreOptions::snapshot_mode). In
-  /// snapshot mode the coordinator replays trunk expansions through a
-  /// trunk-level snapshot cache, and every work item carries a snapshot of
-  /// its root — stolen frames ship their world with them — plus a private
-  /// cache for its subtree. Verdicts, schedules, and statistics stay
-  /// deterministic across worker counts in both modes.
-  SnapshotMode snapshot_mode = SnapshotMode::kSnapshot;
-  int snapshot_stride = 6;
-  /// Byte budget per cache (the trunk cache and each item's private cache
-  /// are budgeted independently).
-  std::size_t snapshot_max_bytes = std::size_t{8} << 20;
   /// Persistent frontier (verify/checkpoint.h), or null for an in-memory
   /// search. Non-null: completed work-item outcomes are recorded as they
   /// finish (epochs written atomically every flush_interval records and at
@@ -236,13 +226,6 @@ DistItemResult run_dist_item(const ExploreBuilder& build,
                              const DporOptions& options,
                              const DporWorkItem& item,
                              std::uint64_t base_nodes);
-
-/// Rebuilds a world and replays a macro schedule on it: each entry flushes
-/// that process's local events and applies its next memory op (or runs it
-/// to termination), via Simulation::macro_step. The replay unit shared by
-/// the explorers, the shrinker, and the crash product sweep.
-ExploreInstance replay_macro_schedule(const ExploreBuilder& build,
-                                      const std::vector<ProcId>& schedule);
 
 /// The crash half runs each crash point as sweep_crash_points does; its
 /// snapshot cache follows `explore`'s snapshot settings.

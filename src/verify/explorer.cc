@@ -1,10 +1,9 @@
 #include "verify/explorer.h"
 
-#include <algorithm>
-#include <optional>
+#include <iterator>
+#include <memory>
 #include <set>
 
-#include "common/check.h"
 #include "sched/schedulers.h"
 #include "verify/dpor.h"
 #include "verify/snapshot_cache.h"
@@ -34,7 +33,6 @@ struct NaiveDfs {
   /// Visits the node at `prefix`, whose world is `instance`. Returns false
   /// to abort the whole search (violation found or node cap hit).
   bool visit(ExploreInstance instance) {
-    ensure(instance.sim != nullptr, "explore builder returned no simulation");
     ++result.nodes_visited;
     Simulation& sim = *instance.sim;
 
@@ -93,19 +91,15 @@ struct NaiveDfs {
 int sweep_crash_bases(const ExploreBuilder& build, const ExploreChecker& check,
                       ProcId victim,
                       const std::vector<std::vector<ProcId>>& bases,
-                      ReplayUnit unit, const CrashSweepOptions& options,
+                      ReplayUnit unit, const CrashPointOptions& options,
+                      const SnapshotSettings& snapshot,
                       CrashSweepResult& result) {
   // Successive cuts extend each other along one base, and lex-ordered bases
   // share long prefixes, so in snapshot mode each rebuild restores an
   // earlier cut's world and replays only the delta. Only pre-crash worlds
   // are cached; the crash and everything after it run on the materialized
   // instance.
-  std::optional<SnapshotCache> cache;
-  if (options.snapshot_mode == SnapshotMode::kSnapshot) {
-    cache.emplace(SnapshotCache::Config{std::max(1, options.snapshot_stride),
-                                        options.snapshot_max_bytes});
-  }
-  SnapshotCache* cache_ptr = cache.has_value() ? &*cache : nullptr;
+  const std::unique_ptr<SnapshotCache> cache = make_snapshot_cache(snapshot);
 
   // Sweeps one base; false once the sweep must stop.
   const auto sweep_base = [&](const std::vector<ProcId>& base) {
@@ -119,7 +113,7 @@ int sweep_crash_bases(const ExploreBuilder& build, const ExploreChecker& check,
           build,
           std::vector<ProcId>(base.begin(),
                               base.begin() + static_cast<std::ptrdiff_t>(cut)),
-          unit, /*counters_only=*/false, cache_ptr, &result.stats);
+          unit, /*counters_only=*/false, cache.get(), &result.stats);
       Simulation& sim = *instance.sim;
       if (sim.terminated(victim)) continue;  // nothing left to crash
       ++result.crash_points;
@@ -146,7 +140,7 @@ int sweep_crash_bases(const ExploreBuilder& build, const ExploreChecker& check,
     ++started;
     if (!sweep_base(base)) break;
   }
-  if (cache.has_value()) fold_cache_stats(*cache, result.stats);
+  fold_cache_stats(cache.get(), result.stats);
   return started;
 }
 
@@ -156,22 +150,17 @@ ExploreResult explore_all_schedules(const ExploreBuilder& build,
                                     const ExploreChecker& check,
                                     const ExploreOptions& options) {
   ExploreResult result;
-  std::optional<SnapshotCache> cache;
-  if (options.snapshot_mode == SnapshotMode::kSnapshot) {
-    cache.emplace(SnapshotCache::Config{options.snapshot_stride,
-                                        options.snapshot_max_bytes});
-  }
-  SnapshotCache* cache_ptr = cache.has_value() ? &*cache : nullptr;
-
+  const std::unique_ptr<SnapshotCache> cache =
+      make_snapshot_cache(options.snapshot);
   if (options.max_nodes > 0) {
-    NaiveDfs dfs{build, check, options, cache_ptr, result, {}};
+    NaiveDfs dfs{build, check, options, cache.get(), result, {}};
     dfs.visit(materialize_schedule(build, {}, ReplayUnit::kMacro,
-                                   options.counters_only_history, cache_ptr,
+                                   options.counters_only_history, cache.get(),
                                    &result.stats));
   } else {
     result.exhausted = false;
   }
-  if (cache.has_value()) fold_cache_stats(*cache, result.stats);
+  fold_cache_stats(cache.get(), result.stats);
   return result;
 }
 
@@ -183,14 +172,14 @@ CrashSweepResult sweep_crash_points(const ExploreBuilder& build,
   // each of which is a crash point to try.
   std::vector<std::vector<ProcId>> baseline;
   {
-    ExploreInstance base = build();
-    ensure(base.sim != nullptr, "sweep builder returned no simulation");
+    ExploreInstance base = fresh_world(build, /*counters_only=*/false,
+                                       /*snapshots=*/false);
     fair_drive(*base.sim, options.max_steps);
     baseline.push_back(base.sim->schedule());
   }
   CrashSweepResult result;
   sweep_crash_bases(build, check, victim, baseline, ReplayUnit::kStep,
-                    options, result);
+                    options, options.snapshot, result);
   return result;
 }
 
@@ -218,13 +207,10 @@ CrashProductResult sweep_crash_product(const ExploreBuilder& build,
   }
 
   // The crash half caches pre-crash worlds as the explore half is told to.
-  const CrashSweepOptions sweep{options, options.explore.snapshot_mode,
-                                options.explore.snapshot_stride,
-                                options.explore.snapshot_max_bytes};
   const std::vector<std::vector<ProcId>> swept(bases.begin(), bases.end());
   result.schedules_swept =
       sweep_crash_bases(build, check, victim, swept, ReplayUnit::kMacro,
-                        sweep, result.sweep);
+                        options, options.explore.snapshot, result.sweep);
   if (result.sweep.violation.has_value()) {
     result.violating_schedule =
         swept[static_cast<std::size_t>(result.schedules_swept - 1)];

@@ -12,7 +12,9 @@
 // is rebuilt from it: by default (SnapshotMode::kSnapshot) by restoring the
 // deepest cached snapshot of an ancestor and replaying only the rest of the
 // prefix, or (kReplay, the oracle) by replaying the whole prefix on a fresh
-// instance, at O(nodes x depth) simulated steps. No undo either way.
+// instance, at O(nodes x depth) simulated steps. No undo either way. The
+// rebuild path is shared by every verify engine (verify/snapshot_cache.h);
+// each engine's options hold one SnapshotSettings that configures it.
 #pragma once
 
 #include <cstdint>
@@ -36,7 +38,7 @@ struct ExploreInstance {
   std::unique_ptr<Simulation> sim;
 };
 
-/// How explorers rebuild the world at a tree node (DESIGN.md, "Snapshot
+/// How an engine rebuilds the world at a tree node (DESIGN.md, "Snapshot
 /// exploration"):
 ///  - kReplay: call build() and re-execute the schedule prefix from scratch
 ///    — the original O(nodes x depth) strategy, kept as the oracle.
@@ -47,6 +49,24 @@ struct ExploreInstance {
 enum class SnapshotMode {
   kReplay,
   kSnapshot,
+};
+
+/// The rebuild policy, declared once: every verify engine (the naive
+/// explorer, DPOR's trunk and items, the dist worker, the shrinker and the
+/// crash sweeps) holds one of these and hands it to make_snapshot_cache
+/// (verify/snapshot_cache.h), which owns what the settings mean.
+struct SnapshotSettings {
+  /// kSnapshot is the default; kReplay is the oracle the parity tests
+  /// compare against.
+  SnapshotMode mode = SnapshotMode::kSnapshot;
+  /// Capture a snapshot every `stride` tree levels along each replay (1 =
+  /// every node; values below 1 read as 1). Larger strides trade replay
+  /// work for memory.
+  int stride = 6;
+  /// Byte budget per cache (LRU eviction beyond it). Every engine budgets
+  /// each of its caches independently: DPOR's trunk cache and each work
+  /// item's private cache get one budget each.
+  std::size_t max_bytes = std::size_t{8} << 20;
 };
 
 struct ExploreOptions {
@@ -60,14 +80,8 @@ struct ExploreOptions {
   /// only sound when the checker reads aggregate counters (size, rmrs,
   /// participants, ...), not records; record-backed queries throw.
   bool counters_only_history = false;
-  /// Node reconstruction strategy. kSnapshot is the default; kReplay is the
-  /// oracle the parity tests compare against.
-  SnapshotMode snapshot_mode = SnapshotMode::kSnapshot;
-  /// Take a snapshot every `snapshot_stride` tree levels along each replay
-  /// (1 = every node). Larger strides trade replay work for memory.
-  int snapshot_stride = 6;
-  /// Byte budget for cached snapshots per cache (LRU eviction beyond it).
-  std::size_t snapshot_max_bytes = std::size_t{8} << 20;
+  /// Node reconstruction.
+  SnapshotSettings snapshot = {};
 };
 
 /// Reduction statistics. The naive explorer leaves everything but
@@ -169,12 +183,9 @@ struct CrashPointOptions {
 };
 
 struct CrashSweepOptions : CrashPointOptions {
-  /// Prefix reconstruction strategy for the per-crash-point replays (the
-  /// same semantics as ExploreOptions::snapshot_mode; pre-crash worlds
-  /// only, post-crash execution is never cached).
-  SnapshotMode snapshot_mode = SnapshotMode::kSnapshot;
-  int snapshot_stride = 6;
-  std::size_t snapshot_max_bytes = std::size_t{8} << 20;
+  /// Prefix reconstruction for the per-crash-point replays: pre-crash
+  /// worlds only, post-crash execution is never cached.
+  SnapshotSettings snapshot = {};
 };
 
 struct CrashSweepResult {

@@ -1,11 +1,10 @@
 #include "verify/shrink.h"
 
-#include <algorithm>
+#include <memory>
 #include <optional>
 #include <set>
 #include <utility>
 
-#include "common/check.h"
 #include "verify/snapshot_cache.h"
 
 namespace rmrsim {
@@ -13,74 +12,42 @@ namespace rmrsim {
 namespace {
 
 /// reproduce_violation with an optional snapshot cache shared across
-/// candidates. Cached entries are inserted only at depths the checker has
-/// already passed, so restoring one and skipping its prefix checks cannot
-/// hide an earlier violation (same prefix => same world => same check
-/// outcomes, by determinism).
+/// candidates. The world starts at the shared restore head; this loop is
+/// the shrinker's own: it checks after every step, refuses a non-runnable
+/// entry, and captures only depths the checker has already passed, so
+/// restoring one and skipping its prefix checks cannot hide an earlier
+/// violation (same prefix => same world => same check outcomes, by
+/// determinism).
 std::optional<std::pair<std::string, std::size_t>> reproduce_cached(
     const ExploreBuilder& build, const ExploreChecker& check,
     const std::vector<ProcId>& schedule, SnapshotCache* cache,
     ExploreStats* stats) {
-  ExploreInstance inst;
-  std::size_t start = 0;
-  if (cache != nullptr) {
-    std::size_t matched = 0;
-    std::shared_ptr<const WorldSnapshot> snap =
-        cache->best_prefix(schedule, &matched);
-    if (snap != nullptr) {
-      inst = restore_instance(*snap);
-      start = matched;
-      if (stats != nullptr) ++stats->snapshot_hits;
-    } else if (stats != nullptr) {
-      ++stats->snapshot_misses;
-    }
-  }
-  const bool restored = inst.sim != nullptr;
-  if (!restored) {
-    inst = build();
-    ensure(inst.sim != nullptr, "shrink builder returned no simulation");
-    if (cache != nullptr) inst.sim->enable_fork_log();
-    if (const auto v = check(inst.sim->history()); v.has_value()) {
+  Rebuild r = begin_rebuild(build, schedule, /*counters_only=*/false, cache,
+                            stats);
+  Simulation& sim = *r.inst.sim;
+  if (!r.restored) {
+    if (const auto v = check(sim.history()); v.has_value()) {
       return std::make_pair(*v, std::size_t{0});
     }
   }
-  Simulation& sim = *inst.sim;
-  const std::size_t base = sim.schedule().size();
-  const auto account = [&] {
-    if (stats == nullptr) return;
-    const std::uint64_t executed = sim.schedule().size() - base;
-    stats->replayed_steps += executed;
-    if (restored) stats->snapshot_delta_steps += executed;
-  };
-  const std::size_t stride =
-      cache != nullptr ? static_cast<std::size_t>(cache->config().stride) : 0;
-  for (std::size_t i = start; i < schedule.size(); ++i) {
+  for (std::size_t i = r.start; i < schedule.size(); ++i) {
     const ProcId p = schedule[i];
     if (p < 0 || p >= sim.nprocs() || !sim.runnable(p)) {
-      account();
+      r.account(stats);
       return std::nullopt;  // invalid candidate: a dropped step was needed
     }
     sim.macro_step(p);
     if (const auto v = check(sim.history()); v.has_value()) {
-      account();
+      r.account(stats);
       return std::make_pair(*v, i + 1);
     }
     // Check passed at depth i+1: this prefix world is safe to restore into
-    // later candidates. Capture at stride-aligned depths.
-    const std::size_t len = i + 1;
-    if (cache != nullptr && stride > 0 && len % stride == 0 &&
-        len < schedule.size()) {
-      const std::vector<ProcId> prefix(
-          schedule.begin(),
-          schedule.begin() + static_cast<std::ptrdiff_t>(len));
-      if (!cache->contains(prefix)) {
-        if (cache->insert(prefix, take_snapshot(inst)) && stats != nullptr) {
-          ++stats->snapshots_taken;
-        }
-      }
+    // later candidates.
+    if (cache != nullptr && i + 1 < schedule.size()) {
+      cache->capture(schedule, i + 1, r.inst, stats);
     }
   }
-  account();
+  r.account(stats);
   return std::nullopt;
 }
 
@@ -95,16 +62,12 @@ std::optional<std::pair<std::string, std::size_t>> reproduce_violation(
 std::optional<ShrinkResult> shrink_counterexample(
     const ExploreBuilder& build, const ExploreChecker& check,
     const std::vector<ProcId>& schedule, const ShrinkOptions& options) {
-  std::optional<SnapshotCache> cache;
-  if (options.snapshot_mode == SnapshotMode::kSnapshot) {
-    cache.emplace(SnapshotCache::Config{std::max(1, options.snapshot_stride),
-                                        options.snapshot_max_bytes});
-  }
-  SnapshotCache* cache_ptr = cache.has_value() ? &*cache : nullptr;
+  const std::unique_ptr<SnapshotCache> cache =
+      make_snapshot_cache(options.snapshot);
 
   ShrinkResult result;
   const auto base =
-      reproduce_cached(build, check, schedule, cache_ptr, &result.stats);
+      reproduce_cached(build, check, schedule, cache.get(), &result.stats);
   if (!base.has_value()) return std::nullopt;
 
   result.message = base->first;
@@ -117,7 +80,7 @@ std::optional<ShrinkResult> shrink_counterexample(
   const auto attempt = [&](const std::vector<ProcId>& cand) {
     ++result.candidates_tried;
     const auto r =
-        reproduce_cached(build, check, cand, cache_ptr, &result.stats);
+        reproduce_cached(build, check, cand, cache.get(), &result.stats);
     if (!r.has_value() || r->first != result.message) return false;
     ++result.candidates_reproduced;
     result.schedule.assign(cand.begin(),
@@ -166,7 +129,7 @@ std::optional<ShrinkResult> shrink_counterexample(
 
     if (!changed) break;
   }
-  if (cache.has_value()) fold_cache_stats(*cache, result.stats);
+  fold_cache_stats(cache.get(), result.stats);
   return result;
 }
 

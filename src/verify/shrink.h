@@ -45,16 +45,15 @@ struct ShrinkResult {
 
 struct ShrinkOptions {
   int max_passes = 32;
-  /// Candidate reproduction strategy. Candidates share long prefixes (each
-  /// edit touches one position), so in snapshot mode each reproduction
-  /// restores the deepest cached prefix instead of replaying from scratch.
-  /// Snapshots are cached only at depths where the checker has passed, so
-  /// skipping the restored prefix's checks is exact (determinism: same
-  /// prefix, same world, same check outcomes). Witnesses and messages are
-  /// identical in both modes.
-  SnapshotMode snapshot_mode = SnapshotMode::kSnapshot;
-  int snapshot_stride = 6;
-  std::size_t snapshot_max_bytes = std::size_t{8} << 20;
+  /// Candidate reproduction. Candidates share long prefixes (each edit
+  /// touches one position), so in snapshot mode each reproduction restores
+  /// the deepest cached prefix instead of replaying from scratch, through
+  /// the restore head every engine shares (verify/snapshot_cache.h). The
+  /// shrinker keeps its own capture timing: a depth is captured only after
+  /// the checker has passed there, so skipping the restored prefix's checks
+  /// is exact (determinism: same prefix, same world, same check outcomes).
+  /// Witnesses and messages are identical in both modes.
+  SnapshotSettings snapshot = {};
 };
 
 /// Replays `schedule` on a fresh world, checking after every macro step;

@@ -11,7 +11,7 @@ bool SnapshotCache::insert(std::vector<ProcId> prefix,
                            std::shared_ptr<const WorldSnapshot> snap) {
   ensure(snap != nullptr, "SnapshotCache::insert: null snapshot");
   const std::size_t snap_bytes = snap->approx_bytes();
-  if (snap_bytes > config_.max_bytes) return false;
+  if (snap_bytes > max_bytes_) return false;
   const std::size_t len = prefix.size();
   auto [it, inserted] = entries_.try_emplace(std::move(prefix));
   Entry& e = it->second;
@@ -64,7 +64,7 @@ void SnapshotCache::erase_entry(const std::vector<ProcId>& key) {
 }
 
 void SnapshotCache::evict_to_budget() {
-  if (bytes_ <= config_.max_bytes) return;
+  if (bytes_ <= max_bytes_) return;
   // Batch eviction: drop the least-recently-used entries down to 3/4 of the
   // budget, so the O(n log n) scan amortizes over the ~n/4 inserts it buys.
   // Deterministic despite the unordered container — last_used ticks are
@@ -73,7 +73,7 @@ void SnapshotCache::evict_to_budget() {
   order.reserve(entries_.size());
   for (const auto& [key, e] : entries_) order.emplace_back(e.last_used, &key);
   std::sort(order.begin(), order.end());
-  const std::size_t target = config_.max_bytes - config_.max_bytes / 4;
+  const std::size_t target = max_bytes_ - max_bytes_ / 4;
   for (const auto& [used, key] : order) {
     if (bytes_ <= target || entries_.size() <= 1) break;
     erase_entry(*key);
@@ -113,60 +113,71 @@ void apply_unit(Simulation& sim, ProcId p, ReplayUnit unit) {
 
 }  // namespace
 
+std::unique_ptr<SnapshotCache> make_snapshot_cache(
+    const SnapshotSettings& settings) {
+  if (settings.mode != SnapshotMode::kSnapshot) return nullptr;
+  return std::make_unique<SnapshotCache>(settings);
+}
+
+void SnapshotCache::capture(const std::vector<ProcId>& schedule,
+                            std::size_t len, const ExploreInstance& inst,
+                            ExploreStats* stats) {
+  if (len % stride_ != 0) return;
+  std::vector<ProcId> prefix(
+      schedule.begin(), schedule.begin() + static_cast<std::ptrdiff_t>(len));
+  if (contains(prefix)) return;
+  if (insert(std::move(prefix), take_snapshot(inst)) && stats != nullptr) {
+    ++stats->snapshots_taken;
+  }
+}
+
+ExploreInstance fresh_world(const ExploreBuilder& build, bool counters_only,
+                            bool snapshots) {
+  ExploreInstance inst = build();
+  ensure(inst.sim != nullptr, "explore builder returned no simulation");
+  if (counters_only) inst.sim->set_history_mode(HistoryMode::kCountersOnly);
+  if (snapshots) inst.sim->enable_fork_log();
+  return inst;
+}
+
+void Rebuild::account(ExploreStats* stats) const {
+  if (stats == nullptr) return;
+  const std::uint64_t executed = inst.sim->schedule().size() - base_steps;
+  stats->replayed_steps += executed;
+  if (restored) stats->snapshot_delta_steps += executed;
+}
+
+Rebuild begin_rebuild(const ExploreBuilder& build,
+                      const std::vector<ProcId>& schedule, bool counters_only,
+                      SnapshotCache* cache, ExploreStats* stats) {
+  Rebuild r;
+  if (cache != nullptr) {
+    if (const std::shared_ptr<const WorldSnapshot> snap =
+            cache->best_prefix(schedule, &r.start)) {
+      r.inst = restore_instance(*snap);
+      r.restored = true;
+    }
+    if (stats != nullptr) {
+      ++(r.restored ? stats->snapshot_hits : stats->snapshot_misses);
+    }
+  }
+  if (!r.restored) r.inst = fresh_world(build, counters_only, cache != nullptr);
+  r.base_steps = r.inst.sim->schedule().size();
+  return r;
+}
+
 ExploreInstance materialize_schedule(const ExploreBuilder& build,
                                      const std::vector<ProcId>& schedule,
                                      ReplayUnit unit, bool counters_only,
                                      SnapshotCache* cache,
                                      ExploreStats* stats) {
-  ExploreInstance inst;
-  std::size_t start = 0;
-  if (cache != nullptr) {
-    std::size_t matched = 0;
-    std::shared_ptr<const WorldSnapshot> snap =
-        cache->best_prefix(schedule, &matched);
-    if (snap != nullptr) {
-      inst = restore_instance(*snap);
-      start = matched;
-      if (stats != nullptr) ++stats->snapshot_hits;
-    } else if (stats != nullptr) {
-      ++stats->snapshot_misses;
-    }
+  Rebuild r = begin_rebuild(build, schedule, counters_only, cache, stats);
+  for (std::size_t i = r.start; i < schedule.size(); ++i) {
+    apply_unit(*r.inst.sim, schedule[i], unit);
+    if (cache != nullptr) cache->capture(schedule, i + 1, r.inst, stats);
   }
-  const bool restored = inst.sim != nullptr;
-  if (!restored) {
-    inst = build();
-    if (counters_only) inst.sim->set_history_mode(HistoryMode::kCountersOnly);
-    if (cache != nullptr) inst.sim->enable_fork_log();
-  }
-
-  Simulation& sim = *inst.sim;
-  const std::size_t base = sim.schedule().size();
-  const std::size_t stride =
-      cache != nullptr ? static_cast<std::size_t>(cache->config().stride) : 0;
-  for (std::size_t i = start; i < schedule.size(); ++i) {
-    apply_unit(sim, schedule[i], unit);
-    // Depth-stratified capture: snapshot stride-aligned prefixes only.
-    // Capturing every node would make the snapshots themselves the new
-    // O(nodes) tax; at stride k a rebuild replays at most k units from the
-    // nearest aligned ancestor.
-    const std::size_t len = i + 1;
-    if (cache != nullptr && stride > 0 && len % stride == 0) {
-      const std::vector<ProcId> prefix(
-          schedule.begin(),
-          schedule.begin() + static_cast<std::ptrdiff_t>(len));
-      if (!cache->contains(prefix)) {
-        if (cache->insert(prefix, take_snapshot(inst)) && stats != nullptr) {
-          ++stats->snapshots_taken;
-        }
-      }
-    }
-  }
-  if (stats != nullptr) {
-    const std::uint64_t executed = sim.schedule().size() - base;
-    stats->replayed_steps += executed;
-    if (restored) stats->snapshot_delta_steps += executed;
-  }
-  return inst;
+  r.account(stats);
+  return std::move(r.inst);
 }
 
 void extend_in_place(ExploreInstance& inst, ProcId p, ReplayUnit unit,
@@ -176,21 +187,14 @@ void extend_in_place(ExploreInstance& inst, ProcId p, ReplayUnit unit,
   const std::size_t base = sim.schedule().size();
   apply_unit(sim, p, unit);
   if (stats != nullptr) stats->replayed_steps += sim.schedule().size() - base;
-  if (cache != nullptr) {
-    const std::size_t stride = static_cast<std::size_t>(cache->config().stride);
-    if (stride > 0 && prefix.size() % stride == 0 &&
-        !cache->contains(prefix)) {
-      if (cache->insert(prefix, take_snapshot(inst)) && stats != nullptr) {
-        ++stats->snapshots_taken;
-      }
-    }
-  }
+  if (cache != nullptr) cache->capture(prefix, prefix.size(), inst, stats);
 }
 
-void fold_cache_stats(const SnapshotCache& cache, ExploreStats& stats) {
-  stats.snapshot_evictions += cache.evictions();
-  if (cache.peak_bytes() > stats.snapshot_peak_bytes) {
-    stats.snapshot_peak_bytes = cache.peak_bytes();
+void fold_cache_stats(const SnapshotCache* cache, ExploreStats& stats) {
+  if (cache == nullptr) return;
+  stats.snapshot_evictions += cache->evictions();
+  if (cache->peak_bytes() > stats.snapshot_peak_bytes) {
+    stats.snapshot_peak_bytes = cache->peak_bytes();
   }
 }
 

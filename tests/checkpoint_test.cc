@@ -284,7 +284,7 @@ std::vector<SearchCase> search_cases() {
       opt.max_depth = 14;
       opt.workers = workers;
       opt.trunk_depth = 4;
-      opt.snapshot_mode = mode;
+      opt.snapshot.mode = mode;
       SearchCase healthy{
           "healthy",
           signaling_explore_builder(
@@ -357,7 +357,7 @@ TEST(CheckpointSearch, SigkillMidSearchThenResumeMatchesReference) {
     DporOptions base;
     base.max_depth = 14;
     base.trunk_depth = 4;
-    base.snapshot_mode = mode;
+    base.snapshot.mode = mode;
     const ExploreResult ref = explore_dpor(build, check, base);
     ASSERT_TRUE(ref.exhausted);
     ASSERT_GT(ref.stats.work_items, 4u) << "need enough items to die mid-run";

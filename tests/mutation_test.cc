@@ -30,6 +30,7 @@
 #include "verify/dpor.h"
 #include "verify/explorer.h"
 #include "verify/shrink.h"
+#include "verify/snapshot_cache.h"
 
 namespace rmrsim {
 namespace {
@@ -155,10 +156,15 @@ ExploreBuilder mixed_polls_builder(std::vector<int> waiter_polls,
 // Convicts a mutant with both explorers and shrinks the DPOR witness.
 // Asserted invariants: both find a violation; the shrunk schedule still
 // reproduces the DPOR violation's exact message; the shrunk schedule is no
-// longer than the naive explorer's counterexample.
+// longer than the naive explorer's counterexample. Both search to
+// `max_depth`; DPOR within 2M nodes.
 void convict(const ExploreBuilder& build, const ExploreChecker& check,
-             const ExploreOptions& naive_options,
-             const DporOptions& dpor_options) {
+             int max_depth, std::uint64_t naive_max_nodes = 2'000'000) {
+  const ExploreOptions naive_options{.max_depth = max_depth,
+                                     .max_nodes = naive_max_nodes};
+  DporOptions dpor_options;
+  dpor_options.max_depth = max_depth;
+  dpor_options.max_nodes = 2'000'000;
   const ExploreResult naive =
       explore_all_schedules(build, check, naive_options);
   ASSERT_TRUE(naive.violation.has_value())
@@ -188,17 +194,13 @@ void convict(const ExploreBuilder& build, const ExploreChecker& check,
 TEST(Mutation, RacyRegistrationConvictedAndShrunk) {
   convict(signaling_explore_builder(
               "dsm", signal_factory<RacyRegistrationSignal>(ProcId{1}), 1, 2),
-          polling_spec_checker(),
-          {.max_depth = 24, .max_nodes = 2'000'000},
-          {.max_depth = 24, .max_nodes = 2'000'000});
+          polling_spec_checker(), 24);
 }
 
 TEST(Mutation, RacySingleWaiterConvictedAndShrunk) {
   convict(signaling_explore_builder(
               "dsm", signal_factory<RacySingleWaiterSignal>(), 1, 2),
-          polling_spec_checker(),
-          {.max_depth = 24, .max_nodes = 2'000'000},
-          {.max_depth = 24, .max_nodes = 2'000'000});
+          polling_spec_checker(), 24);
 }
 
 TEST(Mutation, LateFlagConvictedAndShrunk) {
@@ -207,9 +209,7 @@ TEST(Mutation, LateFlagConvictedAndShrunk) {
   // second poll returns false after Signal() completed.
   convict(signaling_explore_builder(
               "dsm", signal_factory<LateFlagSignal>(ProcId{1}), 1, 2),
-          polling_spec_checker(),
-          {.max_depth = 24, .max_nodes = 2'000'000},
-          {.max_depth = 24, .max_nodes = 2'000'000});
+          polling_spec_checker(), 24);
 }
 
 TEST(Mutation, DroppedRecheckCasConvictedAndShrunk) {
@@ -222,8 +222,7 @@ TEST(Mutation, DroppedRecheckCasConvictedAndShrunk) {
   // "loser registers cleanly first" subtree it would face the other way
   // round.
   convict(mixed_polls_builder<DroppedRecheckCasSignal>({1, 2}),
-          polling_spec_checker(), {.max_depth = 26, .max_nodes = 20'000'000},
-          {.max_depth = 26, .max_nodes = 2'000'000});
+          polling_spec_checker(), 26, 20'000'000);
 }
 
 // ---------------------------------------------------------------------------
@@ -340,8 +339,14 @@ CrashProductOptions slot_product_options() {
 std::optional<std::string> reproduce_crash_violation(
     const ExploreBuilder& build, const ExploreChecker& check, ProcId victim,
     const std::vector<ProcId>& prefix) {
-  ExploreInstance inst = replay_macro_schedule(build, prefix);
+  ExploreInstance inst = materialize_schedule(build, {}, ReplayUnit::kMacro,
+                                              /*counters_only=*/false,
+                                              /*cache=*/nullptr);
   Simulation& sim = *inst.sim;
+  for (const ProcId p : prefix) {
+    ensure(sim.runnable(p), "macro schedule replay diverged");
+    sim.macro_step(p);
+  }
   if (sim.terminated(victim)) return std::nullopt;
   sim.crash(victim);
   sim.recover(victim);

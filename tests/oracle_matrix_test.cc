@@ -15,7 +15,9 @@
 //   DPOR workers    workers 1, 2 and 4, on clean and on violating rows.
 //   trunk depths    trunk depth 0 (one work item), 2, 6 and the row's depth
 //                   (all trunk), at workers 2: same verdict and witness.
-//   DPOR modes      replay mode at workers 1 and 2 against snapshot mode.
+//   DPOR modes      replay mode at workers 1 and 2 against snapshot mode;
+//                   on small rows, snapshot stride 0 against stride 1, in
+//                   DPOR and in the naive explorer (the one stride rule).
 //   loopback        the loopback executor (the dist wire codec and
 //                   run_dist_item in-process) against the in-process
 //                   search, in both snapshot modes; an executor's failed
@@ -85,6 +87,18 @@ void expect_same_dpor(const ExploreResult& a, const ExploreResult& b,
   EXPECT_EQ(a.stats.work_items, b.stats.work_items);
 }
 
+/// Two searches whose caches follow the same rebuild policy agree on every
+/// replay and snapshot counter too.
+void expect_same_rebuilds(const ExploreStats& a, const ExploreStats& b) {
+  EXPECT_EQ(a.replayed_steps, b.replayed_steps);
+  EXPECT_EQ(a.snapshot_hits, b.snapshot_hits);
+  EXPECT_EQ(a.snapshot_misses, b.snapshot_misses);
+  EXPECT_EQ(a.snapshots_taken, b.snapshots_taken);
+  EXPECT_EQ(a.snapshot_evictions, b.snapshot_evictions);
+  EXPECT_EQ(a.snapshot_delta_steps, b.snapshot_delta_steps);
+  EXPECT_EQ(a.snapshot_peak_bytes, b.snapshot_peak_bytes);
+}
+
 /// The verdict DPOR gives on the world: the row's, unless the row pins a
 /// known miss.
 bool dpor_violates(const ExploreWorld& w) {
@@ -114,10 +128,9 @@ class LoopbackExecutor : public DistItemExecutor {
       : build_(std::move(build)),
         check_(std::move(check)),
         options_(std::move(options)) {
-    if (options_.snapshot_mode == SnapshotMode::kSnapshot) {
-      ExploreInstance root = build_();
-      root.sim->enable_fork_log();
-      proto_ = take_snapshot(root);
+    if (options_.snapshot.mode == SnapshotMode::kSnapshot) {
+      proto_ = take_snapshot(fresh_world(
+          build_, options_.counters_only_history, /*snapshots=*/true));
     }
   }
 
@@ -262,12 +275,12 @@ TEST(SnapshotParity, ExplorerVerdictsMatchAcrossModes) {
     if (!w.small) continue;
     SCOPED_TRACE(w.name);
     ExploreOptions opt{.max_depth = w.depth, .max_nodes = w.max_nodes};
-    opt.snapshot_mode = SnapshotMode::kReplay;
+    opt.snapshot.mode = SnapshotMode::kReplay;
     const ExploreResult replay = explore_all_schedules(w.build, w.check, opt);
     // A short stride makes the snapshot search restore even when it ends
     // after a few nodes.
-    opt.snapshot_mode = SnapshotMode::kSnapshot;
-    opt.snapshot_stride = 2;
+    opt.snapshot.mode = SnapshotMode::kSnapshot;
+    opt.snapshot.stride = 2;
     const ExploreResult snap = explore_all_schedules(w.build, w.check, opt);
     expect_same_search(replay, snap);
     EXPECT_EQ(snap.violation.has_value(), w.violates);
@@ -285,11 +298,11 @@ TEST(SnapshotParity, ExplorerCountersOnlyHistoryMatchesAcrossModes) {
     SCOPED_TRACE(w.name);
     ExploreOptions opt{.max_depth = w.depth, .max_nodes = w.max_nodes};
     opt.counters_only_history = true;
-    opt.snapshot_mode = SnapshotMode::kReplay;
+    opt.snapshot.mode = SnapshotMode::kReplay;
     const ExploreResult replay =
         explore_all_schedules(w.build, counters_check, opt);
-    opt.snapshot_mode = SnapshotMode::kSnapshot;
-    opt.snapshot_stride = 3;
+    opt.snapshot.mode = SnapshotMode::kSnapshot;
+    opt.snapshot.stride = 3;
     const ExploreResult snap =
         explore_all_schedules(w.build, counters_check, opt);
     expect_same_search(replay, snap);
@@ -366,6 +379,9 @@ TEST(ExplorerEquivalence, TrunkDepthsAgree) {
 
 // ---- DPOR modes -------------------------------------------------------------
 
+// The last input, on small rows, is the stride rule, which every engine
+// takes from its snapshot cache: a stride below 1 reads as 1, in DPOR and
+// in the naive explorer alike.
 TEST(SnapshotParity, DporVerdictsMatchAcrossModesAndWorkers) {
   for (const ExploreWorld& w : explore_corpus()) {
     SCOPED_TRACE(w.name);
@@ -374,11 +390,28 @@ TEST(SnapshotParity, DporVerdictsMatchAcrossModesAndWorkers) {
     for (const int workers : {1, 2}) {
       SCOPED_TRACE("replay mode, workers=" + std::to_string(workers));
       DporOptions replay_opt = opt;
-      replay_opt.snapshot_mode = SnapshotMode::kReplay;
+      replay_opt.snapshot.mode = SnapshotMode::kReplay;
       replay_opt.workers = workers;
       expect_same_dpor(snap, explore_dpor(w.build, w.check, replay_opt),
                        false);
     }
+
+    if (!w.small) continue;
+    SCOPED_TRACE("snapshot stride 0 against stride 1");
+    DporOptions one = opt;
+    one.snapshot.stride = 1;
+    DporOptions zero = opt;
+    zero.snapshot.stride = 0;
+    const ExploreResult dpor_one = explore_dpor(w.build, w.check, one);
+    const ExploreResult dpor_zero = explore_dpor(w.build, w.check, zero);
+    expect_same_dpor(dpor_one, dpor_zero, true);
+    expect_same_rebuilds(dpor_one.stats, dpor_zero.stats);
+    const ExploreResult naive_one = explore_all_schedules(w.build, w.check, one);
+    const ExploreResult naive_zero =
+        explore_all_schedules(w.build, w.check, zero);
+    expect_same_search(naive_one, naive_zero);
+    expect_same_rebuilds(naive_one.stats, naive_zero.stats);
+    EXPECT_GT(naive_zero.stats.snapshots_taken, 0u);
   }
 }
 
@@ -389,7 +422,7 @@ void expect_loopback_agrees(SnapshotMode mode) {
   for (const ExploreWorld& w : explore_corpus()) {
     SCOPED_TRACE(w.name);
     DporOptions opt = dpor_options(w);
-    opt.snapshot_mode = mode;
+    opt.snapshot.mode = mode;
     const ExploreResult in_process = explore_dpor(w.build, w.check, opt);
     LoopbackExecutor exec(w.build, w.check, opt);
     opt.dist = &exec;
@@ -489,11 +522,11 @@ TEST(SnapshotParity, CrashSweepMatchesAcrossModes) {
     if (!w.crash_sweep) continue;
     SCOPED_TRACE(w.name);
     CrashSweepOptions opt;
-    opt.snapshot_mode = SnapshotMode::kReplay;
+    opt.snapshot.mode = SnapshotMode::kReplay;
     const CrashSweepResult replay =
         sweep_crash_points(w.build, w.check, 0, opt);
-    opt.snapshot_mode = SnapshotMode::kSnapshot;
-    opt.snapshot_stride = 8;
+    opt.snapshot.mode = SnapshotMode::kSnapshot;
+    opt.snapshot.stride = 8;
     const CrashSweepResult snap = sweep_crash_points(w.build, w.check, 0, opt);
 
     EXPECT_EQ(replay.crash_points, snap.crash_points);
@@ -516,11 +549,11 @@ TEST(SnapshotParity, CrashProductMatchesAcrossModes) {
     CrashProductOptions opt;
     opt.explore = dpor_options(w);
     opt.max_schedules = 8;
-    opt.explore.snapshot_mode = SnapshotMode::kReplay;
+    opt.explore.snapshot.mode = SnapshotMode::kReplay;
     const CrashProductResult replay =
         sweep_crash_product(w.build, w.check, 0, opt);
-    opt.explore.snapshot_mode = SnapshotMode::kSnapshot;
-    opt.explore.snapshot_stride = 4;
+    opt.explore.snapshot.mode = SnapshotMode::kSnapshot;
+    opt.explore.snapshot.stride = 4;
     const CrashProductResult snap =
         sweep_crash_product(w.build, w.check, 0, opt);
 
@@ -545,11 +578,11 @@ TEST(SnapshotParity, ShrinkWitnessMatchesAcrossModes) {
     const ExploreResult found = explore_dpor(w.build, w.check, dpor_options(w));
     ASSERT_TRUE(found.violation.has_value());
     ShrinkOptions opt;
-    opt.snapshot_mode = SnapshotMode::kReplay;
+    opt.snapshot.mode = SnapshotMode::kReplay;
     const auto replay =
         shrink_counterexample(w.build, w.check, found.violating_schedule, opt);
-    opt.snapshot_mode = SnapshotMode::kSnapshot;
-    opt.snapshot_stride = 1;  // witnesses are a few steps long
+    opt.snapshot.mode = SnapshotMode::kSnapshot;
+    opt.snapshot.stride = 1;  // witnesses are a few steps long
     const auto snap =
         shrink_counterexample(w.build, w.check, found.violating_schedule, opt);
 

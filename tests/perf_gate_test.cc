@@ -152,7 +152,7 @@ TimedExplore explore_reference(SnapshotMode mode) {
   ExploreOptions opt;
   opt.max_depth = 32;
   opt.max_nodes = 500'000;
-  opt.snapshot_mode = mode;
+  opt.snapshot.mode = mode;
   const ExploreBuilder build = signaling_explore_builder(
       "dsm", make_signal_factory_by_name("registration", 3), 3, 2);
   const auto t0 = std::chrono::steady_clock::now();

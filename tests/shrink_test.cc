@@ -102,7 +102,7 @@ TEST(Shrink, ResultAlwaysReproduces) {
         "dsm", make_signal_factory_by_name("broken", 1), 1, polls);
     const auto check = polling_spec_checker();
     const auto r =
-        explore_dpor(build, check, {.max_depth = 20, .max_nodes = 200'000});
+        explore_dpor(build, check, {{.max_depth = 20, .max_nodes = 200'000}});
     ASSERT_TRUE(r.violation.has_value());
     const auto shrunk =
         shrink_counterexample(build, check, r.violating_schedule);

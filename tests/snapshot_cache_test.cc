@@ -123,15 +123,15 @@ TEST(SnapshotCacheEviction, StarvedCacheExplorationStillMatchesReplayMode) {
 
   DporOptions ref_opt;
   ref_opt.max_depth = 14;
-  ref_opt.snapshot_mode = SnapshotMode::kReplay;
+  ref_opt.snapshot.mode = SnapshotMode::kReplay;
   const ExploreResult ref = explore_dpor(build, check, ref_opt);
   ASSERT_TRUE(ref.exhausted);
 
   for (const int workers : {1, 2}) {
     DporOptions opt = ref_opt;
     opt.workers = workers;
-    opt.snapshot_mode = SnapshotMode::kSnapshot;
-    opt.snapshot_max_bytes = 1;
+    opt.snapshot.mode = SnapshotMode::kSnapshot;
+    opt.snapshot.max_bytes = 1;
     const ExploreResult starved = explore_dpor(build, check, opt);
     EXPECT_EQ(starved.nodes_visited, ref.nodes_visited);
     EXPECT_EQ(starved.complete_schedules, ref.complete_schedules);
@@ -153,16 +153,16 @@ TEST(SnapshotCacheEviction, TinyButUsableBudgetStaysCorrectUnderChurn) {
 
   DporOptions ref_opt;
   ref_opt.max_depth = 14;
-  ref_opt.snapshot_mode = SnapshotMode::kReplay;
+  ref_opt.snapshot.mode = SnapshotMode::kReplay;
   const ExploreResult ref = explore_dpor(build, check, ref_opt);
 
   const ExploreInstance probe = build();
   probe.sim->enable_fork_log();
   const auto snap = take_snapshot(probe);
   DporOptions opt = ref_opt;
-  opt.snapshot_mode = SnapshotMode::kSnapshot;
-  opt.snapshot_stride = 2;
-  opt.snapshot_max_bytes = snap->approx_bytes() * 2;
+  opt.snapshot.mode = SnapshotMode::kSnapshot;
+  opt.snapshot.stride = 2;
+  opt.snapshot.max_bytes = snap->approx_bytes() * 2;
   const ExploreResult churned = explore_dpor(build, check, opt);
   EXPECT_EQ(churned.nodes_visited, ref.nodes_visited);
   EXPECT_EQ(churned.complete_schedules, ref.complete_schedules);

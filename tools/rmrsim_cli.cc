@@ -108,6 +108,17 @@ Args parse(int argc, char** argv, int first) {
   return a;
 }
 
+/// Subcommands that drive Poll() refuse a Wait()-only --alg before any
+/// work, rather than fail deep inside its poll(): a named error, exit 2.
+bool refuses_alg(const char* what, const std::string& alg) {
+  if (signal_alg_polls(alg)) return false;
+  std::fprintf(stderr,
+               "error: %s drives Poll(), which --alg %s does not implement "
+               "(algorithms with Poll(): %s)\n",
+               what, alg.c_str(), polling_signal_alg_names());
+  return true;
+}
+
 /// The --protocols list: "all" (or the bare flag) or a comma list of
 /// names; the fleet rejects unknown ones.
 std::vector<std::string> protocols_arg(const Args& a) {
@@ -159,6 +170,10 @@ TextTable run_table(const MetricsRegistry& reg, std::vector<std::string> rows,
 }
 
 int cmd_signal(const Args& a) {
+  const std::string alg = a.get("alg", "flag");
+  if (!a.has("blocking") && refuses_alg("signal without --blocking", alg)) {
+    return 2;
+  }
   const int waiters = static_cast<int>(a.get_int("waiters", 8, 1, kIntMax - 1));
   const int nprocs = waiters + 1;
   SignalingWorkloadOptions opt;
@@ -175,7 +190,7 @@ int cmd_signal(const Args& a) {
   // signaler, process nprocs-1.
   auto run = run_signaling_workload(
       make_model_by_name(a.get("model", "dsm"), nprocs),
-      make_signal_factory_by_name(a.get("alg", "flag"), nprocs - 1), opt);
+      make_signal_factory_by_name(alg, nprocs - 1), opt);
   MetricsRegistry reg;
   const auto violation = publish_signaling_run(reg, run, opt.blocking);
   fleet.publish(reg);
@@ -482,6 +497,8 @@ int cmd_trace(const Args& a) {
 }
 
 int cmd_adversary(const Args& a) {
+  const std::string alg = a.get("alg", "registration");
+  if (refuses_alg("adversary", alg)) return 2;
   const int n = static_cast<int>(a.get_int("n", 32, 3, kIntMax));
   AdversaryConfig c;
   c.nprocs = n;
@@ -492,12 +509,11 @@ int cmd_adversary(const Args& a) {
   if (model != "dsm") {
     c.make_memory = [model](int k) { return make_model_by_name(model, k); };
     c.construction = Construction::kLenient;  // strict requires DSM
-    c.erase_during_chase = false;
   }
   // The registration variant's fixed signaler state lives with a waiter,
   // process n-2: the Lemma 6.13 signaler must have an unwritten module.
   SignalingAdversary adv(
-      make_signal_factory_by_name(a.get("alg", "registration"), n - 2), c);
+      make_signal_factory_by_name(alg, n - 2), c);
   const auto report = adv.run();
   std::fputs(report.to_string().c_str(), stdout);
   return report.spec_violation ? 1 : 0;
@@ -574,22 +590,20 @@ int cmd_explore(const Args& a, const char* argv0) {
   // deliberately absent: verdicts are worker-count-invariant.
   std::string fp_src;
   if (target == "signal") {
+    const std::string alg = a.get("alg", "registration");
+    if (refuses_alg("explore --target signal", alg)) return 2;
     const int waiters =
         static_cast<int>(a.get_int("waiters", 2, 1, kIntMax - 1));
     const int polls = static_cast<int>(a.get_int("polls", 1, 0, kIntMax));
     // The registration variant's fixed signaler state lives with the
     // actual signaler, process `waiters`.
     build = signaling_explore_builder(
-        model,
-        make_signal_factory_by_name(a.get("alg", "registration"), waiters),
-        waiters, polls);
+        model, make_signal_factory_by_name(alg, waiters), waiters, polls);
     check = polling_spec_checker();
     std::printf("explore signal: alg %s, model %s, %d waiters x %d polls\n",
-                a.get("alg", "registration").c_str(), model.c_str(), waiters,
-                polls);
-    fp_src = "signal|alg=" + a.get("alg", "registration") + "|model=" +
-             model + "|waiters=" + std::to_string(waiters) + "|polls=" +
-             std::to_string(polls);
+                alg.c_str(), model.c_str(), waiters, polls);
+    fp_src = "signal|alg=" + alg + "|model=" + model + "|waiters=" +
+             std::to_string(waiters) + "|polls=" + std::to_string(polls);
   } else if (target == "mutex") {
     const int nprocs = static_cast<int>(a.get_int("procs", 2, 1, kIntMax));
     const int passages =
@@ -859,6 +873,9 @@ void usage() {
       "            sweep artifacts use and exit 1 iff spec.ok, run.completed\n"
       "            or protocol.invariants_ok is not 1 (any --trace mode)\n"
       "  adversary --alg A --n N [--lenient] [--no-erase] [--model M]\n"
+      "            (--no-erase: strict construction only; the lenient one\n"
+      "             never erases. A: any algorithm with Poll(), not\n"
+      "             blocking-leader)\n"
       "  gme       --procs N --sessions K --passages P --model M\n"
       "  explore   --target signal|mutex --model M [--depth D]\n"
       "            [--max-nodes N] [--workers W] [--trunk-depth T]\n"
